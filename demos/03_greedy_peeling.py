@@ -3,36 +3,38 @@ The greedy character peeling algorithm, step by step
 ====================================================
 
 A finite-dimensional module is pinned down by its character, the map
-from weights to weight-space dimensions.  To decompose the module, pick
-any maximal weight of the character: it must be the highest weight of
-some irreducible summand, so subtract that irreducible's character and
-repeat until nothing is left.
+from weights to weight-space dimensions.  To decompose the module, sweep
+its weights once in descending lexicographic order.  A weight that
+dominates another is lexicographically greater, so when the sweep
+reaches a weight, every irreducible above it has already been peeled off
+and what is left there is the multiplicity of the irreducible with that
+highest weight: subtract that many copies of its character and move on.
 """
 
 from symcube import (
     character_irrep,
-    character_sub,
     character_symmetric_power,
     character_total,
     decompose_symmetric_power,
     greedy_decompose,
-    maximal_weights,
+    irrep_dimension,
 )
 
-# Watch the remainder shrink while decomposing S^3 by hand.
-remainder = character_symmetric_power(3)
-step = 0
-print("peeling S^3 (dimension", character_total(remainder), "):")
-while remainder:
-    step += 1
-    tops = maximal_weights(remainder)
-    chosen = tops[0]  # descending lexicographic tie-break
-    remainder = character_sub(remainder, character_irrep(chosen))
-    print(f"  step {step}: maximal weights {tops}, peel {chosen}, "
-          f"{character_total(remainder)} dims left")
+# Watch the sweep decompose S^3 by hand.
+character = character_symmetric_power(3)
+remainder = dict(character)
+left = character_total(character)
+print("sweeping S^3 (dimension", left, "):")
+for top in sorted(character, reverse=True):
+    x = remainder[top]
+    if x:
+        for w in character_irrep(top):
+            remainder[w] -= x
+        left -= x * irrep_dimension(top)
+        print(f"  reach {top}: multiplicity {x}, {left} dims left")
 
-# The library loop does the same thing in one call.
-print("\ngreedy_decompose(ch S^3):", greedy_decompose(character_symmetric_power(3)))
+# The library sweep does the same thing in one call.
+print("\ngreedy_decompose(ch S^3):", greedy_decompose(character))
 
 # Both decomposition routes agree on every symmetric power.
 for m in range(9):
@@ -40,7 +42,7 @@ for m in range(9):
         decompose_symmetric_power(m)
 print("greedy == inclusion-exclusion for m <= 8")
 
-# The greedy loop also detects inputs that are not module characters:
+# The sweep also detects inputs that are not module characters:
 # any module character has sign-symmetric weights, so a lone negative
 # weight cannot be peeled.
 try:

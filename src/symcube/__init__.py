@@ -11,10 +11,8 @@ is exact (Python ints throughout).
 from .characters import (
     NotAModuleCharacterError,
     character_irrep,
-    character_sl2,
     character_symmetric_power,
     greedy_decompose,
-    maximal_weights,
 )
 from .core import (
     Character,
@@ -22,10 +20,8 @@ from .core import (
     Decomposition,
     IrrepLabel,
     MonomialExponents,
-    NotASubcharacterError,
     Weight,
     character_add,
-    character_sub,
     character_total,
     decomposition_total,
     format_character,
@@ -60,15 +56,12 @@ __all__ = [
     "IrrepLabel",
     "MonomialExponents",
     "NotAModuleCharacterError",
-    "NotASubcharacterError",
     "OracleCapError",
     "Weight",
     "c2",
     "c2_bruteforce",
     "character_add",
     "character_irrep",
-    "character_sl2",
-    "character_sub",
     "character_symmetric_power",
     "character_total",
     "convolution_bruteforce",
@@ -81,7 +74,6 @@ __all__ = [
     "format_character",
     "greedy_decompose",
     "irrep_dimension",
-    "maximal_weights",
     "multiplicity_general",
     "multiplicity_sym",
     "parse_character",

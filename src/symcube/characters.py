@@ -3,20 +3,16 @@
 A finite-dimensional module is determined by its character, and the
 character of a direct sum is the sum of characters.  Decomposing a
 module therefore reduces to writing its character as a sum of
-irreducible characters, which the greedy algorithm does by repeatedly
-locating a maximal weight of the remainder and subtracting the
-irreducible character it names.
+irreducible characters.  The greedy algorithm does this in one sweep
+over the support in descending lexicographic order: every weight that
+dominates w (exceeds it by non-negative even amounts) is
+lexicographically greater than w, so by the time the sweep reaches w
+every irreducible whose highest weight dominates w has already been
+subtracted, and what is left at w is the multiplicity of the
+irreducible with highest weight w.
 """
 
-from .core import (
-    Character,
-    Decomposition,
-    IrrepLabel,
-    NotASubcharacterError,
-    Weight,
-    character_sub,
-    weight_leq,
-)
+from .core import Character, Decomposition, IrrepLabel, check_label
 from .dims import dim_weight
 
 
@@ -24,25 +20,18 @@ class NotAModuleCharacterError(ValueError):
     """The input cannot be the character of a finite-dimensional module."""
 
 
-def character_sl2(n: int) -> list[tuple[int, int]]:
-    """Weights of the (n+1)-dimensional irreducible sl2(C) module, top
-    down: n, n-2, ..., -n, each with a 1-dimensional weight space."""
-    if n < 0:
-        raise ValueError(f"highest weight must be non-negative, got {n}")
-    return [(n - 2 * i, 1) for i in range(n + 1)]
-
-
 def character_irrep(label: IrrepLabel) -> Character:
-    """Character of V(n1) (x) V(n2) (x) V(n3): the product of three sl2
-    characters, every one of its (n1+1)(n2+1)(n3+1) weight spaces being
-    1-dimensional."""
+    """Character of V(n1) (x) V(n2) (x) V(n3): the weights (w1, w2, w3)
+    with wi in {ni, ni-2, ..., -ni}, every one of the (n1+1)(n2+1)(n3+1)
+    weight spaces being 1-dimensional."""
+    check_label(label)
     n1, n2, n3 = label
-    out: Character = {}
-    for w1, d1 in character_sl2(n1):
-        for w2, d2 in character_sl2(n2):
-            for w3, d3 in character_sl2(n3):
-                out[(w1, w2, w3)] = d1 * d2 * d3
-    return out
+    return {
+        (w1, w2, w3): 1
+        for w1 in range(n1, -n1 - 1, -2)
+        for w2 in range(n2, -n2 - 1, -2)
+        for w3 in range(n3, -n3 - 1, -2)
+    }
 
 
 def character_symmetric_power(m: int) -> Character:
@@ -64,53 +53,48 @@ def character_symmetric_power(m: int) -> Character:
     return out
 
 
-def maximal_weights(c: Character) -> list[Weight]:
-    """Maximal elements of the support of c under the even-componentwise
-    order, in descending lexicographic order."""
-    if not c:
-        raise ValueError("empty character")
-    maximal: list[Weight] = []
-    # Any dominator of w is lexicographically greater than w, so scanning
-    # in descending lexicographic order sees dominators first, and by
-    # transitivity it suffices to compare against the maximal ones kept.
-    for w in sorted(c, reverse=True):
-        if not any(weight_leq(w, top) for top in maximal):
-            maximal.append(w)
-    return maximal
-
-
 def greedy_decompose(c: Character) -> Decomposition:
     """Decompose a module character by peeling off irreducibles.
 
-    Repeatedly picks a maximal weight of the remainder (ties broken by
-    descending lexicographic order), subtracts the irreducible character
-    with that highest weight, and records one copy, until the remainder
-    is empty.  On characters of actual modules this reconstructs the
-    multiset of irreducible summands exactly.
+    Sweeps the support once in descending lexicographic order.  Weights
+    of an irreducible lie below its highest weight in the dominance
+    order, hence lexicographically below it, so peeling never touches a
+    weight the sweep has passed, and the remainder at each weight reached
+    is exactly the multiplicity x of the irreducible with that highest
+    weight.  A positive x is recorded and x copies of that irreducible's
+    character are subtracted.  On characters of actual modules this
+    reconstructs the multiset of irreducible summands exactly.
 
     Raises NotAModuleCharacterError when the input is not such a
-    character: either a chosen maximal weight has a negative component
-    (a module's maximal weights are dominant), or a subtraction would go
-    negative.
+    character: an entry is not positive, a weight with positive
+    remainder has a negative component (a module's highest weights are
+    dominant), or a subtraction would take a weight below zero.
     """
+    for w, d in c.items():
+        if d <= 0:
+            raise NotAModuleCharacterError(
+                f"not a module character: weight {w} has non-positive "
+                f"dimension {d}"
+            )
     remainder = dict(c)
     found: Decomposition = {}
-    while remainder:
-        # The lexicographically greatest support weight is maximal, and it
-        # is lexicographically greatest among all maximal weights, so
-        # max() implements exactly the documented tie-break.
-        top = max(remainder)
+    for top in sorted(c, reverse=True):
+        x = remainder[top]
+        if not x:
+            continue
         if min(top) < 0:
             raise NotAModuleCharacterError(
                 f"not a module character: maximal weight {top} "
                 f"has a negative component"
             )
-        try:
-            remainder = character_sub(remainder, character_irrep(top))
-        except NotASubcharacterError as exc:
-            raise NotAModuleCharacterError(
-                f"not a module character: subtracting the irreducible with "
-                f"highest weight {top} fails ({exc})"
-            ) from exc
-        found[top] = found.get(top, 0) + 1
+        for w in character_irrep(top):
+            have = remainder.get(w, 0)
+            if have < x:
+                raise NotAModuleCharacterError(
+                    f"not a module character: the irreducible with highest "
+                    f"weight {top} has multiplicity {x}, but weight {w} has "
+                    f"only {have} left"
+                )
+            remainder[w] = have - x
+        found[top] = x
     return found

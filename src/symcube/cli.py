@@ -112,8 +112,6 @@ def _cmd_mult(args) -> int:
 
 def _cmd_decompose(args) -> int:
     dec = decompose_symmetric_power(args.m)
-    # decompositions never store zero multiplicities, so --nonzero-only is
-    # already the default behavior; the flag is accepted for explicitness.
     _render_decomposition(dec, args.format, m=args.m)
     return 0
 
@@ -249,10 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="full decomposition table of S^m")
     p.add_argument("m", type=_nonneg, help="symmetric power")
     add_format(p)
-    p.add_argument(
-        "--nonzero-only", action="store_true",
-        help="list only labels with non-zero multiplicity (the default)",
-    )
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser(

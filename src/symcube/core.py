@@ -27,10 +27,6 @@ Decomposition = dict[IrrepLabel, int]
 MonomialExponents = tuple[int, int, int, int, int, int, int, int]
 
 
-class NotASubcharacterError(ValueError):
-    """Subtraction would take some weight-space dimension below zero."""
-
-
 class CharacterFormatError(ValueError):
     """A character file violates the line format."""
 
@@ -68,36 +64,22 @@ def character_add(c1: Character, c2: Character) -> Character:
     return out
 
 
-def character_sub(c1: Character, c2: Character) -> Character:
-    """Pointwise difference c1 - c2, requiring c2 <= c1 everywhere.
-
-    Raises NotASubcharacterError if any weight space of c2 is larger than
-    the corresponding space of c1; entries that reach zero are dropped.
-    """
-    out = dict(c1)
-    for w, d in c2.items():
-        have = out.get(w, 0)
-        if have < d:
-            raise NotASubcharacterError(
-                f"not a subcharacter: weight {w} has dimension {have} < {d}"
-            )
-        if have == d:
-            del out[w]
-        else:
-            out[w] = have - d
-    return out
-
-
 def character_total(c: Character) -> int:
     """Sum of all weight-space dimensions: the dimension of the module."""
     return sum(c.values())
 
 
+def check_label(label: IrrepLabel) -> None:
+    """Raise ValueError unless every component of the highest weight
+    label is non-negative."""
+    if min(label) < 0:
+        raise ValueError(f"highest weights must be non-negative, got {label}")
+
+
 def irrep_dimension(label: IrrepLabel) -> int:
     """(n1+1)(n2+1)(n3+1), the dimension of the labeled irreducible."""
+    check_label(label)
     n1, n2, n3 = label
-    if n1 < 0 or n2 < 0 or n3 < 0:
-        raise ValueError(f"highest weights must be non-negative, got {label}")
     return (n1 + 1) * (n2 + 1) * (n3 + 1)
 
 

@@ -10,7 +10,7 @@ without any recursion.
 
 from itertools import product
 
-from .core import Character, Decomposition, IrrepLabel
+from .core import Character, Decomposition, IrrepLabel, check_label
 from .dims import dim_weight
 
 _CORNERS = [
@@ -25,7 +25,9 @@ def multiplicity_general(c: Character, label: IrrepLabel) -> int:
 
     Returns the raw signed value: it is non-negative whenever c really is
     a module character, so a negative result flags an invalid input.
+    Raises ValueError on a label with a negative component.
     """
+    check_label(label)
     n1, n2, n3 = label
     return sum(
         sign * c.get((n1 + d1, n2 + d2, n3 + d3), 0)
@@ -39,7 +41,9 @@ def multiplicity_sym(m: int, label: IrrepLabel) -> int:
 
     Labels with a component exceeding m or of parity different from m
     cannot occur and return 0 without touching the dimension formulas.
+    Raises ValueError on a label with a negative component.
     """
+    check_label(label)
     n1, n2, n3 = label
     if any(v > m or (v - m) % 2 != 0 for v in label):
         return 0

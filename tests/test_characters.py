@@ -8,12 +8,10 @@ from symcube import (
     NotAModuleCharacterError,
     character_add,
     character_irrep,
-    character_sl2,
     character_symmetric_power,
     character_total,
     greedy_decompose,
     irrep_dimension,
-    maximal_weights,
     weight_leq,
 )
 
@@ -28,21 +26,6 @@ def character_of_decomposition(dec):
         for _ in range(mult):
             total = character_add(total, piece)
     return total
-
-
-class TestSl2Character:
-    def test_trivial(self):
-        assert character_sl2(0) == [(0, 1)]
-
-    def test_defining(self):
-        assert character_sl2(1) == [(1, 1), (-1, 1)]
-
-    def test_adjoint(self):
-        assert character_sl2(2) == [(2, 1), (0, 1), (-2, 1)]
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            character_sl2(-1)
 
 
 class TestIrrepCharacter:
@@ -60,6 +43,10 @@ class TestIrrepCharacter:
         assert character_irrep((2, 0, 0)) == {
             (2, 0, 0): 1, (0, 0, 0): 1, (-2, 0, 0): 1
         }
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            character_irrep((0, -1, 0))
 
     @given(st.tuples(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10)))
     def test_total_is_product_of_factor_dims(self, label):
@@ -90,37 +77,6 @@ class TestSymmetricPowerCharacter:
         assert character_total(character_symmetric_power(m)) == comb(m + 7, 7)
 
 
-class TestMaximalWeights:
-    def test_singleton(self):
-        assert maximal_weights({(0, 0, 0): 1}) == [(0, 0, 0)]
-
-    def test_irrep_has_unique_top(self):
-        assert maximal_weights(character_irrep((1, 1, 1))) == [(1, 1, 1)]
-
-    def test_incomparable_pair(self):
-        c = {(2, 0, 0): 1, (0, 2, 0): 1}
-        assert maximal_weights(c) == [(2, 0, 0), (0, 2, 0)]
-
-    def test_empty_character(self):
-        with pytest.raises(ValueError, match="empty"):
-            maximal_weights({})
-
-    @given(st.dictionaries(
-        st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8)),
-        st.integers(1, 3), min_size=1, max_size=12,
-    ))
-    def test_output_is_antichain_covering_support(self, c):
-        tops = maximal_weights(c)
-        for i, w1 in enumerate(tops):
-            for w2 in tops[i + 1:]:
-                assert not weight_leq(w1, w2)
-                assert not weight_leq(w2, w1)
-        # every support weight is below some maximal one
-        for w in c:
-            assert any(weight_leq(w, top) for top in tops)
-        assert tops == sorted(tops, reverse=True)
-
-
 class TestGreedyDecompose:
     def test_single_irrep(self):
         assert greedy_decompose(character_irrep((1, 1, 1))) == {(1, 1, 1): 1}
@@ -141,8 +97,18 @@ class TestGreedyDecompose:
     def test_subtraction_underflow_rejected(self):
         # top weight (2,0,0) forces subtracting a 3-dimensional character,
         # but weight (0,0,0) is missing
-        with pytest.raises(NotAModuleCharacterError):
+        with pytest.raises(NotAModuleCharacterError, match=r"\(0, 0, 0\)"):
             greedy_decompose({(2, 0, 0): 1, (-2, 0, 0): 1})
+        # two copies of V(2) (x) V(0) (x) V(0) need (0,0,0) twice
+        with pytest.raises(NotAModuleCharacterError, match=r"\(0, 0, 0\)"):
+            greedy_decompose({(2, 0, 0): 2, (0, 0, 0): 1, (-2, 0, 0): 2})
+
+    def test_non_positive_entry_rejected(self):
+        for c in ({(1, 1, 1): 0},
+                  {(0, 0, 0): 1, (2, 0, 0): -1},
+                  {**character_irrep((1, 1, 1)), (-1, -1, -1): 0}):
+            with pytest.raises(NotAModuleCharacterError, match="non-positive"):
+                greedy_decompose(c)
 
     @settings(max_examples=60)
     @given(decompositions)

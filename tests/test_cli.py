@@ -79,6 +79,7 @@ class TestDecompose:
         code, out, _ = run(["decompose", "2"])
         assert code == 0
         rows = out.splitlines()
+        assert len(rows) == 5
         assert rows[-1] == "total_dim = 36"
         assert rows[:-1] == ["2 2 2 1", "2 0 0 1", "0 2 0 1", "0 0 2 1"]
 
@@ -108,11 +109,6 @@ class TestDecompose:
         assert csv_lines[0] == "n1,n2,n3,mult"
         csv_rows = [tuple(line.split(",")) for line in csv_lines[1:]]
         assert csv_rows == text_rows
-
-    def test_nonzero_only_flag_accepted(self):
-        code, out, _ = run(["decompose", "2", "--nonzero-only"])
-        assert code == 0
-        assert len(out.splitlines()) == 5
 
 
 class TestCharacter:

@@ -37,6 +37,11 @@ class TestMultiplicitySym:
     def test_label_beyond_power(self):
         assert multiplicity_sym(2, (4, 0, 0)) == 0
 
+    def test_negative_label_rejected(self):
+        for m, label in ((4, (-2, 0, 0)), (4, (-2, -2, 0)), (8, (0, 0, -2))):
+            with pytest.raises(ValueError, match="non-negative"):
+                multiplicity_sym(m, label)
+
     def test_trivial_module_pattern(self):
         # the invariant ring of 2x2x2 arrays is generated by the degree-4
         # hyperdeterminant, so invariants appear exactly in degrees 4t
@@ -79,6 +84,10 @@ class TestMultiplicityGeneral:
                 assert multiplicity_general(c, label) == mult
             # an absent label reads zero
             assert multiplicity_general(c, (9, 9, 9)) == dec.get((9, 9, 9), 0)
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            multiplicity_general(character_symmetric_power(4), (-2, 0, 0))
 
     def test_signed_output_on_invalid_input(self):
         # not a module character: the corner sum may go negative, and the
