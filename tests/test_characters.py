@@ -28,6 +28,37 @@ def character_of_decomposition(dec):
     return total
 
 
+def sl2_factor(n, slot):
+    """Weights of V(n), top down with their dimensions, read off slot
+    `slot` of character_irrep with V(0) in the other two slots."""
+    label = [0, 0, 0]
+    label[slot] = n
+    out = []
+    for w, d in sorted(character_irrep(tuple(label)).items(), reverse=True):
+        assert w[:slot] + w[slot + 1:] == (0, 0)
+        out.append((w[slot], d))
+    return out
+
+
+class TestSl2Character:
+    def test_trivial(self):
+        for slot in range(3):
+            assert sl2_factor(0, slot) == [(0, 1)]
+
+    def test_defining(self):
+        for slot in range(3):
+            assert sl2_factor(1, slot) == [(1, 1), (-1, 1)]
+
+    def test_adjoint(self):
+        for slot in range(3):
+            assert sl2_factor(2, slot) == [(2, 1), (0, 1), (-2, 1)]
+
+    def test_rejects_negative(self):
+        for slot in range(3):
+            with pytest.raises(ValueError):
+                sl2_factor(-1, slot)
+
+
 class TestIrrepCharacter:
     def test_trivial(self):
         assert character_irrep((0, 0, 0)) == {(0, 0, 0): 1}
@@ -43,10 +74,6 @@ class TestIrrepCharacter:
         assert character_irrep((2, 0, 0)) == {
             (2, 0, 0): 1, (0, 0, 0): 1, (-2, 0, 0): 1
         }
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            character_irrep((0, -1, 0))
 
     @given(st.tuples(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10)))
     def test_total_is_product_of_factor_dims(self, label):
