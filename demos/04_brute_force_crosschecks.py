@@ -10,12 +10,12 @@ are fast.  This script replays the cross-checks the test suite pins.
 from symcube import (
     c2,
     c2_bruteforce,
-    character_symmetric_power,
     convolution_bruteforce,
     dim_by_convolution,
     dim_closed_form,
     enumerate_character,
 )
+from symcube.verify import check_characters
 
 # 2x2 contingency matrices: count matrices with a given total, second-row
 # sum and second-column sum.  The closed form is min(r2, r3, r1-r2, r1-r3)+1.
@@ -39,8 +39,7 @@ for idx in [(8, 3, 2, 2), (11, 5, 4, 1), (40, 18, 16, 16)]:
 
 # Whole characters: enumerating all C(m+7, 7) degree-m monomials and
 # tallying weights reproduces the closed-form character exactly.
-for m in range(9):
-    assert enumerate_character(m) == character_symmetric_power(m)
+check_characters(8)
 print("\nmonomial enumeration == closed-form characters for m <= 8")
 
 counts = enumerate_character(6)

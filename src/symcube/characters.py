@@ -12,7 +12,8 @@ subtracted, and what is left at w is the multiplicity of the
 irreducible with highest weight w.
 """
 
-from .core import Character, Decomposition, IrrepLabel, check_label
+from .core import (Character, Decomposition, IrrepLabel, check_label,
+                   check_power)
 from .dims import dim_weight
 
 
@@ -40,8 +41,7 @@ def character_symmetric_power(m: int) -> Character:
     Support lies in [-m, m]^3 with every component congruent to m mod 2;
     the dimensions sum to C(m+7, 7).
     """
-    if m < 0:
-        raise ValueError(f"power must be non-negative, got {m}")
+    check_power(m)
     out: Character = {}
     for k in range(m + 1):
         for r in range(m + 1):
@@ -66,15 +66,15 @@ def greedy_decompose(c: Character) -> Decomposition:
     reconstructs the multiset of irreducible summands exactly.
 
     Raises NotAModuleCharacterError when the input is not such a
-    character: an entry is not positive, a weight with positive
+    character: an entry is not a positive int, a weight with positive
     remainder has a negative component (a module's highest weights are
     dominant), or a subtraction would take a weight below zero.
     """
     for w, d in c.items():
-        if d <= 0:
+        if type(d) is not int or d <= 0:
             raise NotAModuleCharacterError(
                 f"not a module character: weight {w} has non-positive "
-                f"dimension {d}"
+                f"or non-integer dimension {d!r}"
             )
     remainder = dict(c)
     found: Decomposition = {}

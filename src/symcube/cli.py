@@ -8,22 +8,18 @@ character input and the like), 3 verification mismatch.
 import argparse
 import json
 import sys
-from math import comb
 
-from .characters import (
-    NotAModuleCharacterError,
-    character_symmetric_power,
-    greedy_decompose,
-)
-from .core import (
-    CharacterFormatError,
-    Decomposition,
-    decomposition_total,
-    parse_character,
-)
-from .dims import c2, dim_by_convolution, dim_closed_form, dim_weight
+from .characters import character_symmetric_power, greedy_decompose
+from .core import Decomposition, decomposition_total, parse_character
+from .dims import dim_weight
 from .multiplicity import decompose_symmetric_power, multiplicity_sym
-from .oracle import c2_bruteforce, convolution_bruteforce, enumerate_character
+from .verify import (
+    VerificationError,
+    check_c2,
+    check_characters,
+    check_dimensions,
+    check_greedy,
+)
 
 
 class UsageError(Exception):
@@ -57,56 +53,43 @@ def _print_rows(rows: list[tuple[int, ...]], header: str, fmt: str,
             print(footer)
 
 
-def _decomposition_rows(dec: Decomposition) -> list[tuple[int, ...]]:
-    return [
-        (label[0], label[1], label[2], dec[label])
-        for label in sorted(dec, reverse=True)
-    ]
-
-
 def _render_decomposition(dec: Decomposition, fmt: str,
                           m: int | None = None) -> None:
     total = decomposition_total(dec)
+    labels = sorted(dec, reverse=True)
     if fmt == "json":
         payload: dict = {}
         if m is not None:
             payload["m"] = m
         payload["entries"] = [
-            {"label": list(label), "mult": dec[label]}
-            for label in sorted(dec, reverse=True)
+            {"label": list(label), "mult": dec[label]} for label in labels
         ]
         payload["total_dim"] = total
         print(json.dumps(payload))
     else:
-        _print_rows(
-            _decomposition_rows(dec), "n1,n2,n3,mult", fmt,
-            footer=f"total_dim = {total}",
-        )
+        rows = [(*label, dec[label]) for label in labels]
+        _print_rows(rows, "n1,n2,n3,mult", fmt, footer=f"total_dim = {total}")
+
+
+def _print_scalar(args, key, triple, columns, field, value) -> None:
+    if args.format == "json":
+        print(json.dumps({"m": args.m, key: list(triple), field: value}))
+    elif args.format == "csv":
+        _print_rows([(args.m, *triple, value)], f"m,{columns},{field}", "csv")
+    else:
+        print(value)
 
 
 def _cmd_dim(args) -> int:
     w = (args.l1, args.l2, args.l3)
-    value = dim_weight(args.m, w)
-    if args.format == "json":
-        print(json.dumps({"m": args.m, "weight": list(w), "dim": value}))
-    elif args.format == "csv":
-        print("m,l1,l2,l3,dim")
-        print(f"{args.m},{w[0]},{w[1]},{w[2]},{value}")
-    else:
-        print(value)
+    _print_scalar(args, "weight", w, "l1,l2,l3", "dim", dim_weight(args.m, w))
     return 0
 
 
 def _cmd_mult(args) -> int:
     label = (args.n1, args.n2, args.n3)
-    value = multiplicity_sym(args.m, label)
-    if args.format == "json":
-        print(json.dumps({"m": args.m, "label": list(label), "mult": value}))
-    elif args.format == "csv":
-        print("m,n1,n2,n3,mult")
-        print(f"{args.m},{label[0]},{label[1]},{label[2]},{value}")
-    else:
-        print(value)
+    _print_scalar(args, "label", label, "n1,n2,n3", "mult",
+                  multiplicity_sym(args.m, label))
     return 0
 
 
@@ -143,68 +126,16 @@ def _cmd_verify(args) -> int:
     max_m = args.max_m
     if max_m is None:
         max_m = 20 if args.mode == "extended" else 12
-
-    for r1 in range(41):
-        for r2 in range(r1 + 1):
-            for r3 in range(r1 + 1):
-                if c2(r1, r2, r3) != c2_bruteforce(r1, r2, r3):
-                    print(
-                        f"mismatch: c2 vs brute force at "
-                        f"(r1, r2, r3) = ({r1}, {r2}, {r3})",
-                        file=sys.stderr,
-                    )
-                    return 3
+    check_c2(40)
     print("2x2 matrix counts: closed form == brute force for r1 <= 40")
-
-    cases = 0
-    for m in range(17):
-        for k in range(m // 2 + 1):
-            for r in range(k + 1):
-                for n in range(r + 1):
-                    closed = dim_closed_form(m, k, r, n)
-                    conv = dim_by_convolution(m, k, r, n)
-                    pairs = convolution_bruteforce(m, k, r, n)
-                    if not (closed == conv == pairs):
-                        print(
-                            f"mismatch: dimensions diverge at "
-                            f"(m, k, r, n) = ({m}, {k}, {r}, {n}): "
-                            f"closed={closed} convolution={conv} "
-                            f"enumerated={pairs}",
-                            file=sys.stderr,
-                        )
-                        return 3
-                    cases += 1
-    print(
-        "weight dimensions: closed form == convolution == pair enumeration "
-        f"for m <= 16 ({cases} indices)"
-    )
-
-    for m in range(max_m + 1):
-        if enumerate_character(m, cap=max(max_m, 20)) != \
-                character_symmetric_power(m):
-            print(
-                f"mismatch: monomial enumeration differs from closed-form "
-                f"character at m = {m}",
-                file=sys.stderr,
-            )
-            return 3
+    cases = check_dimensions(16)
+    print("weight dimensions: closed form == convolution == pair enumeration "
+          f"for m <= 16 ({cases} indices)")
+    check_characters(max_m)
     print(f"characters: monomial enumeration == closed forms for m <= {max_m}")
-
-    greedy_max = min(max_m, 10)
-    for m in range(greedy_max + 1):
-        if greedy_decompose(character_symmetric_power(m)) != \
-                decompose_symmetric_power(m):
-            print(
-                f"mismatch: greedy and inclusion-exclusion decompositions "
-                f"differ at m = {m}",
-                file=sys.stderr,
-            )
-            return 3
-    print(
-        "decompositions: greedy == inclusion-exclusion "
-        f"for m <= {greedy_max}"
-    )
-
+    top = min(max_m, 10)
+    check_greedy(top)
+    print(f"decompositions: greedy == inclusion-exclusion for m <= {top}")
     print("all checks passed")
     return 0
 
@@ -289,9 +220,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (NotAModuleCharacterError, CharacterFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except VerificationError as exc:
+        print(f"mismatch: {exc}", file=sys.stderr)
+        return 3
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

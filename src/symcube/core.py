@@ -69,9 +69,22 @@ def character_total(c: Character) -> int:
     return sum(c.values())
 
 
+def check_power(m: int) -> None:
+    """Raise ValueError unless m is a non-negative int (bool excluded)."""
+    if type(m) is not int or m < 0:
+        raise ValueError(f"power must be a non-negative int, got {m!r}")
+
+
+def check_weight(w: Weight) -> None:
+    """Raise ValueError unless w is a tuple of three ints (bool excluded)."""
+    if not (type(w) is tuple and len(w) == 3
+            and type(w[0]) is type(w[1]) is type(w[2]) is int):
+        raise ValueError(f"a weight must be a tuple of three ints, got {w!r}")
+
+
 def check_label(label: IrrepLabel) -> None:
-    """Raise ValueError unless every component of the highest weight
-    label is non-negative."""
+    """Raise ValueError unless label is a weight with no negative component."""
+    check_weight(label)
     if min(label) < 0:
         raise ValueError(f"highest weights must be non-negative, got {label}")
 

@@ -29,7 +29,7 @@ raises immediately.
 
 from functools import lru_cache
 
-from .core import Weight
+from .core import Weight, check_power, check_weight
 
 
 def c2(r1: int, r2: int, r3: int) -> int:
@@ -179,12 +179,13 @@ def dim_weight(m: int, w: Weight) -> int:
     their signs; the implementation uses both symmetries to reach the
     normalized index and dispatch to dim_closed_form.
     """
-    if m < 0:
-        raise ValueError(f"power must be non-negative, got {m}")
-    for comp in w:
-        if abs(comp) > m or (comp - m) % 2 != 0:
-            return 0
+    check_power(m)
+    check_weight(w)
+    a1, a2, a3 = abs(w[0]), abs(w[1]), abs(w[2])
+    if max(a1, a2, a3) > m or (m - a1) % 2 or (m - a2) % 2 or (m - a3) % 2:
+        return 0
     # abs() forces each co-index (m - |comp|) / 2 into [0, m/2], so the
     # descending sort alone lands in the normalized position.
-    k, r, n = sorted(((m - abs(comp)) // 2 for comp in w), reverse=True)
+    k, r, n = sorted(((m - a1) // 2, (m - a2) // 2, (m - a3) // 2),
+                     reverse=True)
     return dim_closed_form(m, k, r, n)

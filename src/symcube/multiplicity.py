@@ -10,7 +10,8 @@ without any recursion.
 
 from itertools import product
 
-from .core import Character, Decomposition, IrrepLabel, check_label
+from .core import (Character, Decomposition, IrrepLabel, check_label,
+                   check_power)
 from .dims import dim_weight
 
 _CORNERS = [
@@ -41,8 +42,9 @@ def multiplicity_sym(m: int, label: IrrepLabel) -> int:
 
     Labels with a component exceeding m or of parity different from m
     cannot occur and return 0 without touching the dimension formulas.
-    Raises ValueError on a label with a negative component.
+    Raises ValueError on a malformed power or label.
     """
+    check_power(m)
     check_label(label)
     n1, n2, n3 = label
     if any(v > m or (v - m) % 2 != 0 for v in label):
@@ -61,8 +63,7 @@ def decompose_symmetric_power(m: int) -> Decomposition:
     so nothing outside can occur) and keeps the positive multiplicities.
     Entries are inserted in descending lexicographic label order.
     """
-    if m < 0:
-        raise ValueError(f"power must be non-negative, got {m}")
+    check_power(m)
     out: Decomposition = {}
     values = range(m, -1, -2)
     for n1 in values:

@@ -6,7 +6,7 @@ identities elsewhere can be validated against code that is obviously
 counting the defined sets.
 """
 
-from .core import Character, weight_of_monomial
+from .core import Character, check_power, weight_of_monomial
 
 DEFAULT_ENUMERATION_CAP = 20
 
@@ -22,8 +22,7 @@ def enumerate_character(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Character
     bounded loops with the eighth exponent derived, computes each weight
     and tallies.  Intentionally unoptimized.
     """
-    if m < 0:
-        raise ValueError(f"power must be non-negative, got {m}")
+    check_power(m)
     if m > cap:
         raise OracleCapError(f"oracle cap exceeded: m={m} > cap={cap}")
     tally: Character = {}

@@ -1,0 +1,63 @@
+"""Cross-checks of the formulas against independent computations.  Each
+check returns its case count and raises VerificationError at the first
+disagreement; a function replaced on its module is the one checked.
+"""
+
+from . import characters, dims, multiplicity, oracle
+
+
+class VerificationError(Exception):
+    """Two routes to the same quantity disagree."""
+
+
+def check_c2(top_r1: int) -> int:
+    """c2 vs brute force for every 0 <= r2, r3 <= r1 <= top_r1."""
+    cases = 0
+    for r1 in range(top_r1 + 1):
+        for r2 in range(r1 + 1):
+            for r3 in range(r1 + 1):
+                if dims.c2(r1, r2, r3) != oracle.c2_bruteforce(r1, r2, r3):
+                    raise VerificationError(
+                        f"c2 vs brute force at (r1, r2, r3) = {r1, r2, r3}")
+                cases += 1
+    return cases
+
+
+def check_dimensions(top_m: int) -> int:
+    """Three routes to every weight dimension C(m; k, r, n), m <= top_m."""
+    cases = 0
+    for m in range(top_m + 1):
+        for k in range(m // 2 + 1):
+            for r in range(k + 1):
+                for n in range(r + 1):
+                    closed = dims.dim_closed_form(m, k, r, n)
+                    conv = dims.dim_by_convolution(m, k, r, n)
+                    pairs = oracle.convolution_bruteforce(m, k, r, n)
+                    if not closed == conv == pairs:
+                        raise VerificationError(
+                            f"dimensions diverge at (m, k, r, n) = "
+                            f"{m, k, r, n}: closed={closed} "
+                            f"convolution={conv} enumerated={pairs}")
+                    cases += 1
+    return cases
+
+
+def check_characters(top_m: int) -> int:
+    """Monomial enumeration vs the closed-form character of S^m, m <= top_m."""
+    for m in range(top_m + 1):
+        if oracle.enumerate_character(m, cap=top_m) != \
+                characters.character_symmetric_power(m):
+            raise VerificationError(f"monomial enumeration differs from "
+                                    f"closed-form character at m = {m}")
+    return top_m + 1
+
+
+def check_greedy(top_m: int) -> int:
+    """Greedy peel vs inclusion-exclusion decomposition of S^m, m <= top_m."""
+    for m in range(top_m + 1):
+        character = characters.character_symmetric_power(m)
+        if characters.greedy_decompose(character) != \
+                multiplicity.decompose_symmetric_power(m):
+            raise VerificationError(f"greedy and inclusion-exclusion "
+                                    f"decompositions differ at m = {m}")
+    return top_m + 1

@@ -20,18 +20,17 @@ from symcube import (
     c2_bruteforce,
     character_add,
     character_irrep,
-    character_symmetric_power,
     decompose_symmetric_power,
     decomposition_total,
     dim_by_convolution,
     dim_closed_form,
     dim_weight,
-    enumerate_character,
     greedy_decompose,
     multiplicity_sym,
     polynomial_case,
 )
 from symcube.cli import main
+from symcube.verify import check_c2, check_characters, check_greedy
 
 EXTENDED = os.environ.get("SYMCUBE_EXTENDED") == "1"
 
@@ -92,8 +91,7 @@ def test_criterion_3_oracle_equivalence():
     top, budget = (20, 300.0) if EXTENDED else (12, 10.0)
     with criterion(3, f"monomial enumeration == closed forms for m <= {top}",
                    budget):
-        for m in range(top + 1):
-            assert enumerate_character(m) == character_symmetric_power(m), m
+        assert check_characters(top) == top + 1
 
 
 def test_criterion_4_closed_form_vs_convolution():
@@ -114,10 +112,7 @@ def test_criterion_4_closed_form_vs_convolution():
 def test_criterion_5_matrix_count_correction():
     with criterion(5, "2x2 matrix count matches brute force; printed-formula "
                       "variant refuted", 1.0):
-        for r1 in range(41):
-            for r2 in range(r1 + 1):
-                for r3 in range(r1 + 1):
-                    assert c2(r1, r2, r3) == c2_bruteforce(r1, r2, r3)
+        assert check_c2(40) == sum((r1 + 1) ** 2 for r1 in range(41))
         # the min(..., r2 - r3) variant of the count formula is wrong:
         # at (5, 2, 3) it gives 0 while the true count is 3
         r1, r2, r3 = 5, 2, 3
@@ -137,9 +132,7 @@ def test_criterion_6_dimension_checksums():
 def test_criterion_7_greedy_matches_inclusion_exclusion():
     with criterion(7, "greedy decomposition == inclusion-exclusion for "
                       "m <= 10", 10.0):
-        for m in range(11):
-            assert greedy_decompose(character_symmetric_power(m)) == \
-                decompose_symmetric_power(m), m
+        assert check_greedy(10) == 11
 
 
 def test_criterion_8_greedy_round_trip():

@@ -57,6 +57,8 @@ class TestSl2Character:
         for slot in range(3):
             with pytest.raises(ValueError):
                 sl2_factor(-1, slot)
+        with pytest.raises(ValueError, match="three ints"):
+            character_irrep((1, 1))
 
 
 class TestIrrepCharacter:
@@ -133,7 +135,8 @@ class TestGreedyDecompose:
     def test_non_positive_entry_rejected(self):
         for c in ({(1, 1, 1): 0},
                   {(0, 0, 0): 1, (2, 0, 0): -1},
-                  {**character_irrep((1, 1, 1)), (-1, -1, -1): 0}):
+                  {**character_irrep((1, 1, 1)), (-1, -1, -1): 0},
+                  {(0, 0, 0): 1.5}, {(0, 0, 0): True}):
             with pytest.raises(NotAModuleCharacterError, match="non-positive"):
                 greedy_decompose(c)
 

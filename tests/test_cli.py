@@ -164,11 +164,23 @@ class TestGreedy:
 
 class TestVerify:
     def test_passes(self):
-        code, out, _ = run(["verify", "--max-m", "10"])
-        assert code == 0
-        assert "all checks passed" in out
-        # one summary line per check plus the final line
-        assert len(out.strip().splitlines()) == 5
+        code, out, err = run(["verify", "--max-m", "10"])
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "2x2 matrix counts: closed form == brute force for r1 <= 40",
+            "weight dimensions: closed form == convolution == pair "
+            "enumeration for m <= 16 (825 indices)",
+            "characters: monomial enumeration == closed forms for m <= 10",
+            "decompositions: greedy == inclusion-exclusion for m <= 10",
+            "all checks passed",
+        ]
+
+    def test_mismatch_exits_3(self, monkeypatch):
+        monkeypatch.setattr("symcube.dims.c2", lambda r1, r2, r3: r1 + 1)
+        code, out, err = run(["verify", "--max-m", "3"])
+        assert code == 3 and "all checks passed" not in out
+        assert err == ("mismatch: c2 vs brute force at "
+                       "(r1, r2, r3) = (1, 0, 0)\n")
 
 
 class TestUsageErrors:

@@ -98,8 +98,9 @@ class TestDimensions:
         assert irrep_dimension((2, 4, 0)) == 15
 
     def test_irrep_dimension_rejects_negative(self):
-        with pytest.raises(ValueError):
-            irrep_dimension((-2, 0, 0))
+        for label in ((-2, 0, 0), (1.5, 0, 0), (1, 1)):
+            with pytest.raises(ValueError):
+                irrep_dimension(label)
 
     def test_decomposition_total(self):
         dec = {(2, 2, 2): 1, (2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}

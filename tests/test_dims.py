@@ -7,9 +7,12 @@ import pytest
 from symcube import (
     c2,
     c2_bruteforce,
+    character_symmetric_power,
+    decompose_symmetric_power,
     dim_by_convolution,
     dim_closed_form,
     dim_weight,
+    enumerate_character,
     polynomial_case,
 )
 
@@ -126,8 +129,14 @@ class TestDimWeight:
         assert dim_weight(2, (100, 100, 100)) == 0
 
     def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            dim_weight(-1, (0, 0, 0))
+        for f in (lambda m: dim_weight(m, (1, 1, 1)), enumerate_character,
+                  character_symmetric_power, decompose_symmetric_power):
+            for m in (-1, 2.0, True):
+                with pytest.raises(ValueError, match=f"got {m!r}"):
+                    f(m)
+        for w in ((0, 0), (0, 0, 0, 0), (2.0, 0, 0), (True, 1, 1), [0, 0, 0]):
+            with pytest.raises(ValueError, match="three ints"):
+                dim_weight(2, w)
 
     def test_permutation_and_sign_invariance(self):
         rng = random.Random(7)

@@ -1,20 +1,14 @@
-import os
 from math import comb
 
 import pytest
 
 from symcube import (
     OracleCapError,
-    c2,
     c2_bruteforce,
-    character_symmetric_power,
     convolution_bruteforce,
-    dim_by_convolution,
-    dim_closed_form,
     enumerate_character,
 )
-
-EXTENDED = os.environ.get("SYMCUBE_EXTENDED") == "1"
+from symcube.verify import check_dimensions
 
 
 class TestEnumerateCharacter:
@@ -60,22 +54,5 @@ class TestBruteforceCounts:
 
 
 class TestAgreement:
-    def test_characters_match_closed_forms(self):
-        top = 20 if EXTENDED else 12
-        for m in range(top + 1):
-            assert enumerate_character(m) == character_symmetric_power(m), m
-
-    def test_c2_matches_closed_form(self):
-        for r1 in range(41):
-            for r2 in range(r1 + 1):
-                for r3 in range(r1 + 1):
-                    assert c2(r1, r2, r3) == c2_bruteforce(r1, r2, r3)
-
     def test_three_way_dimension_agreement(self):
-        for m in range(21):
-            for k in range(m // 2 + 1):
-                for r in range(k + 1):
-                    for n in range(r + 1):
-                        pairs = convolution_bruteforce(m, k, r, n)
-                        assert pairs == dim_by_convolution(m, k, r, n)
-                        assert pairs == dim_closed_form(m, k, r, n)
+        check_dimensions(20)
