@@ -14,7 +14,7 @@ irreducible with highest weight w.
 
 from .core import (Character, Decomposition, IrrepLabel, check_label,
                    check_power)
-from .dims import dim_weight
+from .dims import weight_dimensions
 
 
 class NotAModuleCharacterError(ValueError):
@@ -38,19 +38,17 @@ def character_irrep(label: IrrepLabel) -> Character:
 def character_symmetric_power(m: int) -> Character:
     """Character of the m-th symmetric power of C2 (x) C2 (x) C2.
 
-    Support lies in [-m, m]^3 with every component congruent to m mod 2;
-    the dimensions sum to C(m+7, 7).
+    Support is all of [-m, m]^3 with every component congruent to m
+    mod 2, inserted in descending lexicographic order; the dimensions sum
+    to C(m+7, 7).
     """
     check_power(m)
-    out: Character = {}
-    for k in range(m + 1):
-        for r in range(m + 1):
-            for n in range(m + 1):
-                w = (m - 2 * k, m - 2 * r, m - 2 * n)
-                d = dim_weight(m, w)
-                if d:
-                    out[w] = d
-    return out
+    values = range(m, -m - 1, -2)
+    return {
+        (l1, l2, l3): d
+        for l1, l2, dims in weight_dimensions(m)
+        for l3, d in zip(values, dims)
+    }
 
 
 def greedy_decompose(c: Character) -> Decomposition:

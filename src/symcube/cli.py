@@ -9,9 +9,9 @@ import argparse
 import json
 import sys
 
-from .characters import character_symmetric_power, greedy_decompose
+from .characters import greedy_decompose
 from .core import Decomposition, decomposition_total, parse_character
-from .dims import dim_weight
+from .dims import dim_weight, weight_dimensions
 from .multiplicity import decompose_symmetric_power, multiplicity_sym
 from .verify import (
     VerificationError,
@@ -100,17 +100,32 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_character(args) -> int:
-    c = character_symmetric_power(args.m)
-    weights = sorted(c, reverse=True)
+    # Rows are written one line of the weight cube at a time, never all
+    # held; the json is byte for byte what json.dumps renders for
+    # {"m": m, "entries": [{"weight": [l1, l2, l3], "dim": d}, ...],
+    # "total": sum of dims}.
+    m, out = args.m, sys.stdout
+    l3s = range(m, -m - 1, -2)
     if args.format == "json":
-        print(json.dumps({
-            "m": args.m,
-            "entries": [{"weight": list(w), "dim": c[w]} for w in weights],
-            "total": sum(c.values()),
-        }))
-    else:
-        rows = [(w[0], w[1], w[2], c[w]) for w in weights]
-        _print_rows(rows, "l1,l2,l3,dim", args.format)
+        out.write(f'{{"m": {m}, "entries": [')
+        tails = [f', {l3}], "dim": ' for l3 in l3s]
+        total, sep = 0, ""
+        for l1, l2, dims in weight_dimensions(m):
+            head = f'{{"weight": [{l1}, {l2}'
+            out.write(sep + ", ".join(
+                [f"{head}{tail}{d}}}" for tail, d in zip(tails, dims)]))
+            total += sum(dims)
+            sep = ", "
+        out.write(f'], "total": {total}}}\n')
+        return 0
+    sep = "," if args.format == "csv" else " "
+    if args.format == "csv":
+        out.write("l1,l2,l3,dim\n")
+    tails = [f"{sep}{l3}{sep}" for l3 in l3s]
+    for l1, l2, dims in weight_dimensions(m):
+        head = f"{l1}{sep}{l2}"
+        out.write("".join(
+            [f"{head}{tail}{d}\n" for tail, d in zip(tails, dims)]))
     return 0
 
 

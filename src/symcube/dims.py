@@ -10,7 +10,10 @@ in the normalized position
 
     m/2 >= k >= r >= n >= 0,
 
-which dim_weight produces from an arbitrary weight.
+which normalized_index produces from an arbitrary weight.  A power's
+dimensions are therefore one table over the normalized indices,
+dimension_table(m): 23,426 entries at m = 100, against (m+1)^3 =
+1,030,301 weights.
 
 Two independent computations are provided:
 
@@ -27,7 +30,7 @@ mean the coefficient tables are mistranscribed, never bad input, and
 raises immediately.
 """
 
-from functools import lru_cache
+from collections.abc import Iterator
 
 from .core import Weight, check_power, check_weight
 
@@ -143,7 +146,6 @@ def polynomial_case(m: int, k: int, r: int, n: int) -> str:
     return "III.1" if (r + n - k) % 2 == 0 else "III.2"
 
 
-@lru_cache(maxsize=None)
 def dim_closed_form(m: int, k: int, r: int, n: int) -> int:
     """C(m; k, r, n) by the closed-form polynomial of the applicable case.
 
@@ -171,21 +173,69 @@ def dim_closed_form(m: int, k: int, r: int, n: int) -> int:
     return value
 
 
+def normalized_index(m: int, w: Weight) -> tuple[int, int, int] | None:
+    """The normalized index (k, r, n) of the weight w of S^m, or None when
+    w lies outside [-m, m]^3 or has a component of parity different from
+    m (no weight of S^m)."""
+    a1, a2, a3 = sorted(map(abs, w))
+    if a3 > m or (m - a1) % 2 or (m - a2) % 2 or (m - a3) % 2:
+        return None
+    # Ascending absolute values give descending co-indices (m - |l|) / 2,
+    # each in [0, m/2]: the normalized position.
+    return (m - a1) // 2, (m - a2) // 2, (m - a3) // 2
+
+
+def dimension_table(m: int) -> dict[tuple[int, int, int], int]:
+    """C(m; k, r, n) at every normalized index m/2 >= k >= r >= n >= 0.
+
+    Every dimension of S^m is one of these entries; look a weight up with
+    table.get(normalized_index(m, w), 0).  Built per call and owned by
+    the caller, so nothing outlives the computation that needs it.
+    """
+    check_power(m)
+    return {
+        (k, r, n): dim_closed_form(m, k, r, n)
+        for k in range(m // 2 + 1)
+        for r in range(k + 1)
+        for n in range(r + 1)
+    }
+
+
+def weight_dimensions(m: int) -> Iterator[tuple[int, int, list[int]]]:
+    """The dimensions of S^m at all (m+1)^3 weights, read from one
+    dimension_table(m), one line (l1, l2, *) of the weight cube at a time.
+
+    Yields (l1, l2, dims) for l1, l2 = m, m - 2, ..., -m in that order;
+    dims[i] is the dimension at the weight (l1, l2, m - 2i), so the
+    weights come in descending lexicographic order.  Every dimension is
+    positive.
+    """
+    table = dimension_table(m)
+    # co-index (m - |m - 2i|) / 2 of the component m - 2i
+    fold = [min(i, m - i) for i in range(m + 1)]
+    values = range(m, -m - 1, -2)
+    for l1, a in zip(values, fold):
+        for l2, b in zip(values, fold):
+            hi, lo = max(a, b), min(a, b)
+            # (a, b, c) sorted descending is the normalized index
+            yield l1, l2, [
+                table[(c, hi, lo) if c >= hi
+                      else (hi, c, lo) if c >= lo
+                      else (hi, lo, c)]
+                for c in fold
+            ]
+
+
 def dim_weight(m: int, w: Weight) -> int:
     """Dimension of the weight-w space of the m-th symmetric power.
 
     Zero for weights outside [-m, m]^3 or with a component of parity
     different from m.  Invariant under permuting components and flipping
     their signs; the implementation uses both symmetries to reach the
-    normalized index and dispatch to dim_closed_form.
+    normalized index and evaluates dim_closed_form there.  A point query:
+    tables over all weights of a power read dimension_table instead.
     """
     check_power(m)
     check_weight(w)
-    a1, a2, a3 = abs(w[0]), abs(w[1]), abs(w[2])
-    if max(a1, a2, a3) > m or (m - a1) % 2 or (m - a2) % 2 or (m - a3) % 2:
-        return 0
-    # abs() forces each co-index (m - |comp|) / 2 into [0, m/2], so the
-    # descending sort alone lands in the normalized position.
-    k, r, n = sorted(((m - a1) // 2, (m - a2) // 2, (m - a3) // 2),
-                     reverse=True)
-    return dim_closed_form(m, k, r, n)
+    index = normalized_index(m, w)
+    return 0 if index is None else dim_closed_form(m, *index)

@@ -8,11 +8,11 @@ multiplicity at w itself, turning a character into a multiplicity
 without any recursion.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 from .core import (Character, Decomposition, IrrepLabel, check_label,
                    check_power)
-from .dims import dim_weight
+from .dims import dim_weight, dimension_table, normalized_index
 
 _CORNERS = [
     (offs, -1 if (sum(offs) // 2) % 2 else 1)
@@ -58,18 +58,26 @@ def multiplicity_sym(m: int, label: IrrepLabel) -> int:
 def decompose_symmetric_power(m: int) -> Decomposition:
     """Complete decomposition of the m-th symmetric power.
 
-    Enumerates every candidate label with components in
-    {m mod 2, m mod 2 + 2, ..., m} (weights of the power lie in [-m, m]^3,
-    so nothing outside can occur) and keeps the positive multiplicities.
-    Entries are inserted in descending lexicographic label order.
+    Candidate labels have components in {m mod 2, m mod 2 + 2, ..., m}
+    (weights of the power lie in [-m, m]^3, so nothing outside can
+    occur).  Multiplicities are invariant under permuting the label, so
+    only sorted labels n1 >= n2 >= n3 are summed, each over one
+    dimension_table(m), and every positive one is copied to its
+    permutations.  Entries are inserted in descending lexicographic label
+    order.
     """
-    check_power(m)
-    out: Decomposition = {}
-    values = range(m, -1, -2)
-    for n1 in values:
-        for n2 in values:
-            for n3 in values:
-                x = multiplicity_sym(m, (n1, n2, n3))
+    table = dimension_table(m)
+    found: Decomposition = {}
+    for n1 in range(m, -1, -2):
+        for n2 in range(n1, -1, -2):
+            for n3 in range(n2, -1, -2):
+                # a corner that is no weight of S^m has index None: dim 0
+                x = sum(
+                    sign * table.get(
+                        normalized_index(m, (n1 + d1, n2 + d2, n3 + d3)), 0)
+                    for (d1, d2, d3), sign in _CORNERS
+                )
                 if x:
-                    out[(n1, n2, n3)] = x
-    return out
+                    for label in permutations((n1, n2, n3)):
+                        found[label] = x
+    return {label: found[label] for label in sorted(found, reverse=True)}

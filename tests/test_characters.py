@@ -10,6 +10,7 @@ from symcube import (
     character_irrep,
     character_symmetric_power,
     character_total,
+    dim_weight,
     greedy_decompose,
     irrep_dimension,
     weight_leq,
@@ -104,6 +105,15 @@ class TestSymmetricPowerCharacter:
     @pytest.mark.parametrize("m", list(range(11)) + [25])
     def test_totals(self, m):
         assert character_total(character_symmetric_power(m)) == comb(m + 7, 7)
+
+    def test_matches_point_queries(self):
+        # the table-built character against dim_weight, in the same
+        # descending lexicographic order, at every weight of the power
+        for m in range(25):
+            values = range(m, -m - 1, -2)
+            expected = [((l1, l2, l3), dim_weight(m, (l1, l2, l3)))
+                        for l1 in values for l2 in values for l3 in values]
+            assert list(character_symmetric_power(m).items()) == expected, m
 
 
 class TestGreedyDecompose:

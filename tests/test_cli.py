@@ -111,6 +111,53 @@ class TestDecompose:
         assert csv_rows == text_rows
 
 
+class TestPinnedOutput:
+    # exact stdout: row order, csv header, text footer, json separators
+    @pytest.mark.parametrize("argv,want", [
+        (["character", "2"],
+         "2 2 2 1\n2 2 0 1\n2 2 -2 1\n2 0 2 1\n2 0 0 2\n2 0 -2 1\n"
+         "2 -2 2 1\n2 -2 0 1\n2 -2 -2 1\n0 2 2 1\n0 2 0 2\n0 2 -2 1\n"
+         "0 0 2 2\n0 0 0 4\n0 0 -2 2\n0 -2 2 1\n0 -2 0 2\n0 -2 -2 1\n"
+         "-2 2 2 1\n-2 2 0 1\n-2 2 -2 1\n-2 0 2 1\n-2 0 0 2\n-2 0 -2 1\n"
+         "-2 -2 2 1\n-2 -2 0 1\n-2 -2 -2 1\n"),
+        (["character", "2", "--format", "csv"],
+         "l1,l2,l3,dim\n"
+         "2,2,2,1\n2,2,0,1\n2,2,-2,1\n2,0,2,1\n2,0,0,2\n2,0,-2,1\n"
+         "2,-2,2,1\n2,-2,0,1\n2,-2,-2,1\n0,2,2,1\n0,2,0,2\n0,2,-2,1\n"
+         "0,0,2,2\n0,0,0,4\n0,0,-2,2\n0,-2,2,1\n0,-2,0,2\n0,-2,-2,1\n"
+         "-2,2,2,1\n-2,2,0,1\n-2,2,-2,1\n-2,0,2,1\n-2,0,0,2\n-2,0,-2,1\n"
+         "-2,-2,2,1\n-2,-2,0,1\n-2,-2,-2,1\n"),
+        (["character", "2", "--format", "json"],
+         '{"m": 2, "entries": ['
+         '{"weight": [2, 2, 2], "dim": 1}, {"weight": [2, 2, 0], "dim": 1}, '
+         '{"weight": [2, 2, -2], "dim": 1}, {"weight": [2, 0, 2], "dim": 1}, '
+         '{"weight": [2, 0, 0], "dim": 2}, {"weight": [2, 0, -2], "dim": 1}, '
+         '{"weight": [2, -2, 2], "dim": 1}, {"weight": [2, -2, 0], "dim": 1}, '
+         '{"weight": [2, -2, -2], "dim": 1}, {"weight": [0, 2, 2], "dim": 1}, '
+         '{"weight": [0, 2, 0], "dim": 2}, {"weight": [0, 2, -2], "dim": 1}, '
+         '{"weight": [0, 0, 2], "dim": 2}, {"weight": [0, 0, 0], "dim": 4}, '
+         '{"weight": [0, 0, -2], "dim": 2}, {"weight": [0, -2, 2], "dim": 1}, '
+         '{"weight": [0, -2, 0], "dim": 2}, {"weight": [0, -2, -2], "dim": 1}, '
+         '{"weight": [-2, 2, 2], "dim": 1}, {"weight": [-2, 2, 0], "dim": 1}, '
+         '{"weight": [-2, 2, -2], "dim": 1}, {"weight": [-2, 0, 2], "dim": 1}, '
+         '{"weight": [-2, 0, 0], "dim": 2}, {"weight": [-2, 0, -2], "dim": 1}, '
+         '{"weight": [-2, -2, 2], "dim": 1}, {"weight": [-2, -2, 0], "dim": 1}, '
+         '{"weight": [-2, -2, -2], "dim": 1}], "total": 36}\n'),
+        (["decompose", "3"],
+         "3 3 3 1\n3 1 1 1\n1 3 1 1\n1 1 3 1\n1 1 1 1\ntotal_dim = 120\n"),
+        (["decompose", "3", "--format", "csv"],
+         "n1,n2,n3,mult\n3,3,3,1\n3,1,1,1\n1,3,1,1\n1,1,3,1\n1,1,1,1\n"),
+        (["decompose", "3", "--format", "json"],
+         '{"m": 3, "entries": [{"label": [3, 3, 3], "mult": 1}, '
+         '{"label": [3, 1, 1], "mult": 1}, {"label": [1, 3, 1], "mult": 1}, '
+         '{"label": [1, 1, 3], "mult": 1}, {"label": [1, 1, 1], "mult": 1}], '
+         '"total_dim": 120}\n'),
+    ], ids=[f"{command}-{fmt}" for command in ("character", "decompose")
+            for fmt in ("text", "csv", "json")])
+    def test_stdout(self, argv, want):
+        assert run(argv) == (0, want, "")
+
+
 class TestCharacter:
     def test_degree_one_has_eight_lines(self):
         code, out, _ = run(["character", "1"])

@@ -127,3 +127,13 @@ class TestDecomposeSymmetricPower:
     def test_multiplicities_positive(self):
         for m in range(12):
             assert all(v > 0 for v in decompose_symmetric_power(m).values())
+
+    def test_matches_point_queries(self):
+        # the table-built decomposition against multiplicity_sym at every
+        # candidate label, in the same descending lexicographic order
+        for m in range(25):
+            values = range(m, -1, -2)
+            expected = [((n1, n2, n3), multiplicity_sym(m, (n1, n2, n3)))
+                        for n1 in values for n2 in values for n3 in values]
+            expected = [(label, x) for label, x in expected if x > 0]
+            assert list(decompose_symmetric_power(m).items()) == expected, m
