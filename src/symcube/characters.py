@@ -60,7 +60,8 @@ def greedy_decompose(c: Character) -> Decomposition:
     weight the sweep has passed, and the remainder at each weight reached
     is exactly the multiplicity x of the irreducible with that highest
     weight.  A positive x is recorded and x copies of that irreducible's
-    character are subtracted.  On characters of actual modules this
+    character are subtracted, so entries are inserted in descending
+    lexicographic label order.  On characters of actual modules this
     reconstructs the multiset of irreducible summands exactly.
 
     Raises NotAModuleCharacterError when the input is not such a

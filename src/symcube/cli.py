@@ -38,44 +38,33 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _print_rows(rows: list[tuple[int, ...]], header: str, fmt: str,
-                footer: str | None = None) -> None:
-    """Shared table renderer: text rows, a csv table with header, or the
-    rows as-is for callers that build their own json."""
-    if fmt == "csv":
-        print(header)
-        for row in rows:
-            print(",".join(str(v) for v in row))
-    else:
-        for row in rows:
-            print(" ".join(str(v) for v in row))
-        if footer is not None:
-            print(footer)
-
-
 def _render_decomposition(dec: Decomposition, fmt: str,
                           m: int | None = None) -> None:
+    # Rows come in the dict's order, which both builders make descending
+    # lexicographic; the json is byte for byte what json.dumps renders
+    # for {"m": m (decompose only), "entries": [{"label": [n1, n2, n3],
+    # "mult": x}, ...], "total_dim": total}.
     total = decomposition_total(dec)
-    labels = sorted(dec, reverse=True)
     if fmt == "json":
-        payload: dict = {}
-        if m is not None:
-            payload["m"] = m
-        payload["entries"] = [
-            {"label": list(label), "mult": dec[label]} for label in labels
-        ]
-        payload["total_dim"] = total
-        print(json.dumps(payload))
-    else:
-        rows = [(*label, dec[label]) for label in labels]
-        _print_rows(rows, "n1,n2,n3,mult", fmt, footer=f"total_dim = {total}")
+        head = "" if m is None else f'"m": {m}, '
+        entries = ", ".join([f'{{"label": [{n1}, {n2}, {n3}], "mult": {x}}}'
+                             for (n1, n2, n3), x in dec.items()])
+        sys.stdout.write(
+            f'{{{head}"entries": [{entries}], "total_dim": {total}}}\n')
+        return
+    sep = "," if fmt == "csv" else " "
+    rows = "".join([f"{n1}{sep}{n2}{sep}{n3}{sep}{x}\n"
+                    for (n1, n2, n3), x in dec.items()])
+    sys.stdout.write("n1,n2,n3,mult\n" + rows if fmt == "csv"
+                     else f"{rows}total_dim = {total}\n")
 
 
 def _print_scalar(args, key, triple, columns, field, value) -> None:
     if args.format == "json":
         print(json.dumps({"m": args.m, key: list(triple), field: value}))
     elif args.format == "csv":
-        _print_rows([(args.m, *triple, value)], f"m,{columns},{field}", "csv")
+        print(f"m,{columns},{field}")
+        print(",".join(str(v) for v in (args.m, *triple, value)))
     else:
         print(value)
 

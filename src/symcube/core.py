@@ -64,8 +64,19 @@ def character_add(c1: Character, c2: Character) -> Character:
     return out
 
 
+def check_counts(counts: Character | Decomposition) -> None:
+    """Raise ValueError, naming the key and the value, unless every count
+    is a positive int (bool excluded)."""
+    for key, count in counts.items():
+        if type(count) is not int or count <= 0:
+            raise ValueError(
+                f"counts must be positive ints, got {count!r} at {key}")
+
+
 def character_total(c: Character) -> int:
-    """Sum of all weight-space dimensions: the dimension of the module."""
+    """Sum of all weight-space dimensions: the dimension of the module.
+    Raises ValueError on a dimension that is not a positive int."""
+    check_counts(c)
     return sum(c.values())
 
 
@@ -97,7 +108,9 @@ def irrep_dimension(label: IrrepLabel) -> int:
 
 
 def decomposition_total(dec: Decomposition) -> int:
-    """Total dimension of a decomposition: sum of mult * irrep dimension."""
+    """Total dimension of a decomposition: sum of mult * irrep dimension.
+    Raises ValueError on a multiplicity that is not a positive int."""
+    check_counts(dec)
     return sum(mult * irrep_dimension(label) for label, mult in dec.items())
 
 

@@ -10,10 +10,12 @@ in the normalized position
 
     m/2 >= k >= r >= n >= 0,
 
-which normalized_index produces from an arbitrary weight.  A power's
-dimensions are therefore one table over the normalized indices,
-dimension_table(m): 23,426 entries at m = 100, against (m+1)^3 =
-1,030,301 weights.
+which normalized_index produces from an arbitrary weight: 23,426
+indices at m = 100, against (m+1)^3 = 1,030,301 weights.  A power's
+tables read one cube, dominant_dimensions(m), the dimensions at the
+dominant weights, indexed by the co-indices (m - l) / 2 of the three
+components: the character mirrors each line of it to the negative
+components, and the decomposition takes its backward differences.
 
 Two independent computations are provided:
 
@@ -185,45 +187,50 @@ def normalized_index(m: int, w: Weight) -> tuple[int, int, int] | None:
     return (m - a1) // 2, (m - a2) // 2, (m - a3) // 2
 
 
-def dimension_table(m: int) -> dict[tuple[int, int, int], int]:
-    """C(m; k, r, n) at every normalized index m/2 >= k >= r >= n >= 0.
+def dominant_dimensions(m: int) -> list[list[list[int]]]:
+    """The cube cube[i][j][l] = C(m; sorted((i, j, l), reverse=True)) for
+    i, j, l in [0, m/2]: the dimensions of S^m at the dominant weights
+    (m - 2i, m - 2j, m - 2l).
 
-    Every dimension of S^m is one of these entries; look a weight up with
-    table.get(normalized_index(m, w), 0).  Built per call and owned by
-    the caller, so nothing outlives the computation that needs it.
+    dim_closed_form is evaluated once per normalized index and copied to
+    the other positions of its orbit.  Built per call and owned by the
+    caller, so nothing outlives the computation that needs it.
     """
     check_power(m)
-    return {
-        (k, r, n): dim_closed_form(m, k, r, n)
-        for k in range(m // 2 + 1)
-        for r in range(k + 1)
-        for n in range(r + 1)
-    }
+    span = range(m // 2 + 1)
+    # table[k][r][n] at the normalized indices k >= r >= n
+    table = [[[dim_closed_form(m, k, r, n) for n in range(r + 1)]
+              for r in range(k + 1)] for k in span]
+    cube = [[[] for _ in span] for _ in span]
+    for i in span:
+        for j in range(i + 1):
+            # (i, j, l) sorted descending, for l <= j, j < l <= i, l > i
+            row = (table[i][j]
+                   + [table[i][l][j] for l in range(j + 1, i + 1)]
+                   + [table[l][i][j] for l in range(i + 1, len(span))])
+            cube[i][j], cube[j][i] = row, row[:]
+    return cube
 
 
 def weight_dimensions(m: int) -> Iterator[tuple[int, int, list[int]]]:
-    """The dimensions of S^m at all (m+1)^3 weights, read from one
-    dimension_table(m), one line (l1, l2, *) of the weight cube at a time.
+    """The dimensions of S^m at all (m+1)^3 weights, mirrored from one
+    dominant_dimensions(m) cube, one line (l1, l2, *) of the weight cube
+    at a time.
 
     Yields (l1, l2, dims) for l1, l2 = m, m - 2, ..., -m in that order;
     dims[i] is the dimension at the weight (l1, l2, m - 2i), so the
     weights come in descending lexicographic order.  Every dimension is
     positive.
     """
-    table = dimension_table(m)
+    cube = dominant_dimensions(m)
     # co-index (m - |m - 2i|) / 2 of the component m - 2i
     fold = [min(i, m - i) for i in range(m + 1)]
     values = range(m, -m - 1, -2)
     for l1, a in zip(values, fold):
         for l2, b in zip(values, fold):
-            hi, lo = max(a, b), min(a, b)
-            # (a, b, c) sorted descending is the normalized index
-            yield l1, l2, [
-                table[(c, hi, lo) if c >= hi
-                      else (hi, c, lo) if c >= lo
-                      else (hi, lo, c)]
-                for c in fold
-            ]
+            row = cube[a][b]
+            # the negative components m - 2i, i > m/2, mirror the positive
+            yield l1, l2, row + row[:m - m // 2][::-1]
 
 
 def dim_weight(m: int, w: Weight) -> int:
@@ -233,7 +240,7 @@ def dim_weight(m: int, w: Weight) -> int:
     different from m.  Invariant under permuting components and flipping
     their signs; the implementation uses both symmetries to reach the
     normalized index and evaluates dim_closed_form there.  A point query:
-    tables over all weights of a power read dimension_table instead.
+    tables over all weights of a power read dominant_dimensions instead.
     """
     check_power(m)
     check_weight(w)

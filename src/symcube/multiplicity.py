@@ -5,14 +5,18 @@ dimension from every irreducible summand whose label dominates w in the
 even-componentwise order.  Alternating the dimensions over the eight
 corners w + (d1, d2, d3), di in {0, 2}, cancels everything except the
 multiplicity at w itself, turning a character into a multiplicity
-without any recursion.
+without any recursion.  In co-indices (m - n) / 2 the eight corners of
+every label at once are three backward differences, one along each
+axis, of the dimensions at the dominant weights (Fulton and Harris,
+Representation Theory, section 11).
 """
 
-from itertools import permutations, product
+from itertools import product
+from operator import sub
 
 from .core import (Character, Decomposition, IrrepLabel, check_label,
                    check_power)
-from .dims import dim_weight, dimension_table, normalized_index
+from .dims import dim_weight, dominant_dimensions
 
 _CORNERS = [
     (offs, -1 if (sum(offs) // 2) % 2 else 1)
@@ -58,26 +62,26 @@ def multiplicity_sym(m: int, label: IrrepLabel) -> int:
 def decompose_symmetric_power(m: int) -> Decomposition:
     """Complete decomposition of the m-th symmetric power.
 
-    Candidate labels have components in {m mod 2, m mod 2 + 2, ..., m}
-    (weights of the power lie in [-m, m]^3, so nothing outside can
-    occur).  Multiplicities are invariant under permuting the label, so
-    only sorted labels n1 >= n2 >= n3 are summed, each over one
-    dimension_table(m), and every positive one is copied to its
-    permutations.  Entries are inserted in descending lexicographic label
-    order.
+    Labels have components in {m mod 2, m mod 2 + 2, ..., m}, co-indices
+    (m - n) / 2 in [0, m/2] (weights of the power lie in [-m, m]^3, so
+    nothing outside can occur).  The eight-corner sum at every label is
+    the backward difference of the dominant_dimensions(m) cube along l,
+    then j, then i, with dimension 0 below co-index 0.  Co-indices are
+    walked in ascending order, so entries are inserted in descending
+    lexicographic label order.
     """
-    table = dimension_table(m)
+    cube = dominant_dimensions(m)
+    values = range(m, -1, -2)
+    zero = [0] * len(values)
+    below = [zero] * len(values)  # the plane at co-index i - 1
     found: Decomposition = {}
-    for n1 in range(m, -1, -2):
-        for n2 in range(n1, -1, -2):
-            for n3 in range(n2, -1, -2):
-                # a corner that is no weight of S^m has index None: dim 0
-                x = sum(
-                    sign * table.get(
-                        normalized_index(m, (n1 + d1, n2 + d2, n3 + d3)), 0)
-                    for (d1, d2, d3), sign in _CORNERS
-                )
+    for n1, plane in zip(values, cube):
+        d_l = [[row[0], *map(sub, row[1:], row)] for row in plane]
+        d_lj = [list(map(sub, row, prev))
+                for row, prev in zip(d_l, [zero, *d_l])]
+        for n2, row, prev in zip(values, d_lj, below):
+            for n3, x in zip(values, map(sub, row, prev)):
                 if x:
-                    for label in permutations((n1, n2, n3)):
-                        found[label] = x
-    return {label: found[label] for label in sorted(found, reverse=True)}
+                    found[(n1, n2, n3)] = x
+        below = d_lj
+    return found

@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from symcube import format_character, character_irrep
+from symcube import (character_irrep, character_symmetric_power,
+                     format_character)
 from symcube.cli import main
 
 
@@ -156,6 +157,33 @@ class TestPinnedOutput:
             for fmt in ("text", "csv", "json")])
     def test_stdout(self, argv, want):
         assert run(argv) == (0, want, "")
+
+    @pytest.mark.parametrize("fmt,want", [
+        ("text",
+         "3 3 3 1\n3 1 1 1\n1 3 1 1\n1 1 3 1\n1 1 1 1\ntotal_dim = 120\n"),
+        ("csv",
+         "n1,n2,n3,mult\n3,3,3,1\n3,1,1,1\n1,3,1,1\n1,1,3,1\n1,1,1,1\n"),
+        ("json",
+         '{"entries": [{"label": [3, 3, 3], "mult": 1}, '
+         '{"label": [3, 1, 1], "mult": 1}, {"label": [1, 3, 1], "mult": 1}, '
+         '{"label": [1, 1, 3], "mult": 1}, {"label": [1, 1, 1], "mult": 1}], '
+         '"total_dim": 120}\n'),
+    ])
+    def test_greedy_stdout(self, tmp_path, fmt, want):
+        path = tmp_path / "s3.char"
+        path.write_text(format_character(character_symmetric_power(3)))
+        assert run(["greedy", str(path), "--format", fmt]) == (0, want, "")
+
+    def test_json_spelled_as_json_dumps(self, tmp_path):
+        paths = [tmp_path / "s5.char", tmp_path / "empty.char"]
+        paths[0].write_text(format_character(character_symmetric_power(5)))
+        paths[1].write_text("")
+        argvs = ([["decompose", str(m)] for m in range(9)]
+                 + [["greedy", str(path)] for path in paths])
+        for argv in argvs:
+            code, out, _ = run(argv + ["--format", "json"])
+            assert code == 0, argv
+            assert out == json.dumps(json.loads(out)) + "\n", argv
 
 
 class TestCharacter:

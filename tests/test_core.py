@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,6 +107,18 @@ class TestDimensions:
     def test_decomposition_total(self):
         dec = {(2, 2, 2): 1, (2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
         assert decomposition_total(dec) == 27 + 3 + 3 + 3
+
+    def test_totals_reject_non_positive_or_non_int_counts(self):
+        for total, counts, named in (
+                (decomposition_total, {(0, 0, 0): -1}, "-1 at (0, 0, 0)"),
+                (decomposition_total, {(0, 0, 0): 1.5}, "1.5 at (0, 0, 0)"),
+                (decomposition_total, {(1, 1, 1): True}, "True at (1, 1, 1)"),
+                (decomposition_total, {(2, 0, 0): 0}, "0 at (2, 0, 0)"),
+                (character_total, {(0, 0, 0): -3}, "-3 at (0, 0, 0)"),
+                (character_total, {(1, 1, 1): 1, (0, 0, 0): 2.0},
+                 "2.0 at (0, 0, 0)")):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                total(counts)
 
 
 class TestCharacterFile:

@@ -126,7 +126,10 @@ class TestDecomposeSymmetricPower:
 
     def test_multiplicities_positive(self):
         for m in range(12):
-            assert all(v > 0 for v in decompose_symmetric_power(m).values())
+            dec = decompose_symmetric_power(m)
+            assert all(v > 0 for v in dec.values())
+            # the CLI renders in insertion order, without sorting
+            assert list(dec) == sorted(dec, reverse=True)
 
     def test_matches_point_queries(self):
         # the table-built decomposition against multiplicity_sym at every
@@ -137,3 +140,15 @@ class TestDecomposeSymmetricPower:
                         for n1 in values for n2 in values for n3 in values]
             expected = [(label, x) for label, x in expected if x > 0]
             assert list(decompose_symmetric_power(m).items()) == expected, m
+
+    @pytest.mark.parametrize("m", [45, 100])
+    def test_matches_point_queries_at_benchmark_size(self, m):
+        # backward differences of the cube against the eight-corner sum
+        # at every sorted label, at the powers the benchmark decomposes
+        dec = decompose_symmetric_power(m)
+        for n1 in range(m, -1, -2):
+            for n2 in range(n1, -1, -2):
+                for n3 in range(n2, -1, -2):
+                    label = (n1, n2, n3)
+                    want = multiplicity_sym(m, label)
+                    assert dec.get(label, 0) == want, label
