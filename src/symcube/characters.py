@@ -12,8 +12,11 @@ subtracted, and what is left at w is the multiplicity of the
 irreducible with highest weight w.
 """
 
-from .core import (Character, Decomposition, IrrepLabel, check_label,
-                   check_power)
+from collections.abc import Iterator
+from itertools import product
+
+from .core import (Character, Decomposition, IrrepLabel, Weight,
+                   check_label, check_power)
 from .dims import weight_dimensions
 
 
@@ -26,13 +29,12 @@ def character_irrep(label: IrrepLabel) -> Character:
     with wi in {ni, ni-2, ..., -ni}, every one of the (n1+1)(n2+1)(n3+1)
     weight spaces being 1-dimensional."""
     check_label(label)
-    n1, n2, n3 = label
-    return {
-        (w1, w2, w3): 1
-        for w1 in range(n1, -n1 - 1, -2)
-        for w2 in range(n2, -n2 - 1, -2)
-        for w3 in range(n3, -n3 - 1, -2)
-    }
+    return dict.fromkeys(_irrep_weights(label), 1)
+
+
+def _irrep_weights(label: IrrepLabel) -> Iterator[Weight]:
+    """The weights of the labeled irreducible, lazily, descending."""
+    return product(*(range(n, -n - 1, -2) for n in label))
 
 
 def character_symmetric_power(m: int) -> Character:
@@ -60,8 +62,9 @@ def greedy_decompose(c: Character) -> Decomposition:
     weight the sweep has passed, and the remainder at each weight reached
     is exactly the multiplicity x of the irreducible with that highest
     weight.  A positive x is recorded and x copies of that irreducible's
-    character are subtracted, so entries are inserted in descending
-    lexicographic label order.  On characters of actual modules this
+    character are subtracted weight by weight, so entries are inserted in
+    descending lexicographic label order, and a short input fails at its
+    first short weight.  On characters of actual modules this
     reconstructs the multiset of irreducible summands exactly.
 
     Raises NotAModuleCharacterError when the input is not such a
@@ -86,7 +89,7 @@ def greedy_decompose(c: Character) -> Decomposition:
                 f"not a module character: maximal weight {top} "
                 f"has a negative component"
             )
-        for w in character_irrep(top):
+        for w in _irrep_weights(top):
             have = remainder.get(w, 0)
             if have < x:
                 raise NotAModuleCharacterError(

@@ -8,9 +8,10 @@ character input and the like), 3 verification mismatch.
 import argparse
 import json
 import sys
+from operator import add
 
 from .characters import greedy_decompose
-from .core import Decomposition, decomposition_total, parse_character
+from .core import Decomposition, parse_character
 from .dims import dim_weight, weight_dimensions
 from .multiplicity import decompose_symmetric_power, multiplicity_sym
 from .verify import (
@@ -43,20 +44,23 @@ def _render_decomposition(dec: Decomposition, fmt: str,
     # Rows come in the dict's order, which both builders make descending
     # lexicographic; the json is byte for byte what json.dumps renders
     # for {"m": m (decompose only), "entries": [{"label": [n1, n2, n3],
-    # "mult": x}, ...], "total_dim": total}.
-    total = decomposition_total(dec)
+    # "mult": x}, ...], "total_dim": total}.  Both builders insert only
+    # positive multiplicities at non-negative labels, so the total is
+    # summed from the rows without checking them again.
+    items, write = dec.items(), sys.stdout.write
+    total = sum([x * (n1 + 1) * (n2 + 1) * (n3 + 1)
+                 for (n1, n2, n3), x in items])
     if fmt == "json":
-        head = "" if m is None else f'"m": {m}, '
-        entries = ", ".join([f'{{"label": [{n1}, {n2}, {n3}], "mult": {x}}}'
-                             for (n1, n2, n3), x in dec.items()])
-        sys.stdout.write(
-            f'{{{head}"entries": [{entries}], "total_dim": {total}}}\n')
+        write('{"entries": [' if m is None else f'{{"m": {m}, "entries": [')
+        write(", ".join([f'{{"label": [{n1}, {n2}, {n3}], "mult": {x}}}'
+                         for (n1, n2, n3), x in items]))
+        write(f'], "total_dim": {total}}}\n')
         return
     sep = "," if fmt == "csv" else " "
     rows = "".join([f"{n1}{sep}{n2}{sep}{n3}{sep}{x}\n"
-                    for (n1, n2, n3), x in dec.items()])
-    sys.stdout.write("n1,n2,n3,mult\n" + rows if fmt == "csv"
-                     else f"{rows}total_dim = {total}\n")
+                    for (n1, n2, n3), x in items])
+    write("n1,n2,n3,mult\n" + rows if fmt == "csv"
+          else f"{rows}total_dim = {total}\n")
 
 
 def _print_scalar(args, key, triple, columns, field, value) -> None:
@@ -89,32 +93,32 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_character(args) -> int:
-    # Rows are written one line of the weight cube at a time, never all
-    # held; the json is byte for byte what json.dumps renders for
-    # {"m": m, "entries": [{"weight": [l1, l2, l3], "dim": d}, ...],
-    # "total": sum of dims}.
-    m, out = args.m, sys.stdout
+    # Rows are written one line (l1, l2) of the weight cube at a time,
+    # never all held; (l1, l2) and (l1, -l2) share their formatted pieces.
+    # The json is byte for byte what json.dumps renders for {"m": m,
+    # "entries": [{"weight": [l1, l2, l3], "dim": d}, ...], "total": sum}.
+    m, fmt, out = args.m, args.format, sys.stdout
     l3s = range(m, -m - 1, -2)
-    if args.format == "json":
+    if fmt == "json":
         out.write(f'{{"m": {m}, "entries": [')
         tails = [f', {l3}], "dim": ' for l3 in l3s]
-        total, sep = 0, ""
-        for l1, l2, dims in weight_dimensions(m):
-            head = f'{{"weight": [{l1}, {l2}'
-            out.write(sep + ", ".join(
-                [f"{head}{tail}{d}}}" for tail, d in zip(tails, dims)]))
-            total += sum(dims)
-            sep = ", "
-        out.write(f'], "total": {total}}}\n')
-        return 0
-    sep = "," if args.format == "csv" else " "
-    if args.format == "csv":
-        out.write("l1,l2,l3,dim\n")
-    tails = [f"{sep}{l3}{sep}" for l3 in l3s]
+        head, end, between = '{"weight": [%d, %d', "}", ", "
+    else:
+        sep = "," if fmt == "csv" else " "
+        out.write("l1,l2,l3,dim\n" if fmt == "csv" else "")
+        tails = [f"{sep}{l3}{sep}" for l3 in l3s]
+        head, end, between = f"%d{sep}%d", "\n", ""
+    pieces, total, lead = {}, 0, ""
     for l1, l2, dims in weight_dimensions(m):
-        head = f"{l1}{sep}{l2}"
-        out.write("".join(
-            [f"{head}{tail}{d}\n" for tail, d in zip(tails, dims)]))
+        if l2 >= 0:
+            pieces[l2] = list(map(add, tails, map(str, dims)))
+        total += sum(dims)
+        line_head = head % (l1, l2)
+        out.write(lead + line_head
+                  + (end + between + line_head).join(pieces[abs(l2)]) + end)
+        lead = between
+    if fmt == "json":
+        out.write(f'], "total": {total}}}\n')
     return 0
 
 

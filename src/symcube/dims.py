@@ -25,11 +25,13 @@ Two independent computations are provided:
   (m, k, r, n), selected by the size of r + n relative to k and m - k
   and by parities.
 
-The polynomial coefficients are rationals whose denominators divide 48.
-Each evaluator therefore computes the polynomial scaled by 48 in integer
-arithmetic and divides once at the end; an inexact division can only
-mean the coefficient tables are mistranscribed, never bad input, and
-raises immediately.
+The polynomial coefficients are rationals whose denominators divide 48,
+so each regime is stored as the five integer coefficients in n of its
+quartic scaled by 48, polynomials in (m, k, r).  Along a line (k, r) they
+are computed once per regime the line crosses; each n then costs one
+Horner evaluation and one division by 48, checked at every value: an
+inexact division can only mean mistranscribed coefficients, never bad
+input, and raises ArithmeticError.
 """
 
 from collections.abc import Iterator
@@ -76,56 +78,64 @@ def dim_by_convolution(m: int, k: int, r: int, n: int) -> int:
     return total
 
 
-# Closed-form evaluators.  Each returns the applicable quartic polynomial
-# multiplied by 48; _poly_mid/_poly_high omit the constant term, which is
-# the only coefficient that differs between the parity variants.
+# The six quartics as coefficients (c0, ..., c4) of 48 * C in powers of n,
+# one function per regime, without the constant term 48, 45 or 42 that
+# tells the parity variants apart.  With d = k - r and e = m - k - r,
+# regime III is regime II plus f(e - n), f(t) = -t (t - 2)^2 (t - 4).
 
 
-def _poly_low_x48(k: int, r: int, n: int) -> int:
-    # regime r + n <= k (constant term included: 48 = 48 * 1)
-    return (
-        48 + 64 * n + 4 * n**2 - 16 * n**3 - 4 * n**4
-        + 48 * r + 88 * n * r + 48 * n**2 * r + 8 * n**3 * r
-    )
+def _coeffs_low(m: int, k: int, r: int) -> tuple[int, ...]:
+    # regime I, r + n <= k
+    return 48 * r, 88 * r + 64, 48 * r + 4, 8 * r - 16, -4
 
 
-def _poly_mid_x48(k: int, r: int, n: int) -> int:
-    # regime k < r + n < m - k, shared terms
-    return (
-        16 * k - 20 * k**2 + 8 * k**3 - k**4
-        + 48 * n + 40 * k * n - 24 * k**2 * n + 4 * k**3 * n
-        - 16 * n**2 + 24 * k * n**2 - 6 * k**2 * n**2
-        - 24 * n**3 + 4 * k * n**3 - 5 * n**4
-        + 32 * r + 40 * k * r - 24 * k**2 * r + 4 * k**3 * r
-        + 48 * n * r + 48 * k * n * r - 12 * k**2 * n * r
-        + 24 * n**2 * r + 12 * k * n**2 * r + 4 * n**3 * r
-        - 20 * r**2 + 24 * k * r**2 - 6 * k**2 * r**2
-        - 24 * n * r**2 + 12 * k * n * r**2 - 6 * n**2 * r**2
-        - 8 * r**3 + 4 * k * r**3 - 4 * n * r**3 - r**4
-    )
+def _coeffs_mid(m: int, k: int, r: int) -> tuple[int, ...]:
+    # regime II, k < r + n < m - k
+    d, s = k - r, k + r
+    return (((8 - d) * d - 20) * d * d + 16 * k + 32 * r,
+            (4 * d - 24) * d * d + 40 * k + 48 * r + 48,
+            24 * s - 6 * d * d - 16, 4 * s - 24, -5)
 
 
-def _poly_high_x48(m: int, k: int, r: int, n: int) -> int:
-    # regime r + n >= m - k, shared terms
-    return (
-        -40 * k**2 - 2 * k**4
-        + 16 * m + 40 * k * m + 24 * k**2 * m + 4 * k**3 * m
-        - 20 * m**2 - 24 * k * m**2 - 6 * k**2 * m**2
-        + 8 * m**3 + 4 * k * m**3 - m**4
-        + 32 * n - 48 * k**2 * n + 40 * m * n + 48 * k * m * n
-        + 12 * k**2 * m * n - 24 * m**2 * n - 12 * k * m**2 * n + 4 * m**3 * n
-        - 36 * n**2 - 12 * k**2 * n**2 + 24 * m * n**2 + 12 * k * m * n**2
-        - 6 * m**2 * n**2
-        - 32 * n**3 + 4 * m * n**3 - 6 * n**4
-        + 16 * r - 48 * k**2 * r + 40 * m * r + 48 * k * m * r
-        + 12 * k**2 * m * r - 24 * m**2 * r - 12 * k * m**2 * r + 4 * m**3 * r
-        + 8 * n * r - 24 * k**2 * n * r + 48 * m * n * r + 24 * k * m * n * r
-        - 12 * m**2 * n * r + 12 * m * n**2 * r
-        - 40 * r**2 - 12 * k**2 * r**2 + 24 * m * r**2 + 12 * k * m * r**2
-        - 6 * m**2 * r**2
-        - 48 * n * r**2 + 12 * m * n * r**2 - 12 * n**2 * r**2
-        - 16 * r**3 + 4 * m * r**3 - 8 * n * r**3 - 2 * r**4
-    )
+def _coeffs_high(m: int, k: int, r: int) -> tuple[int, ...]:
+    # regime III, r + n >= m - k: regime II plus f(e - n) expanded in n
+    e = m - k - r
+    c0, c1, c2, c3, c4 = _coeffs_mid(m, k, r)
+    return (c0 + ((8 - e) * e - 20) * e * e + 16 * e,
+            c1 + ((4 * e - 24) * e + 40) * e - 16,
+            c2 + (24 - 6 * e) * e - 20, c3 + 4 * e - 8, c4 - 1)
+
+
+def _line_dimensions(m: int, k: int, r: int, lo: int, hi: int) -> list[int]:
+    """C(m; k, r, n) for lo <= n <= hi on one normalized line (k, r).
+
+    With d = k - r and e = m - k - r, regime I holds for n <= d, II for
+    d < n < e and III for n >= max(e, d + 1); the constant term follows
+    the parity of r + n - k = n - d.
+    """
+    d, e = k - r, m - k - r
+    regimes = ((lo, d + 1, _coeffs_low, (48, 48)),
+               (d + 1, e, _coeffs_mid, (48, 45)),
+               (max(d + 1, e), hi + 1, _coeffs_high,
+                (45, 45) if m % 2 else (48, 42)))
+    values = []
+    for start, stop, coeffs, constants in regimes:
+        ns = range(max(lo, start), min(hi + 1, stop))
+        if not ns:
+            continue
+        c0, c1, c2, c3, c4 = coeffs(m, k, r)
+        if d % 2:  # listed by the parity of n - d, read by that of n
+            constants = constants[::-1]
+        for n in ns:
+            value, rem = divmod((((c4 * n + c3) * n + c2) * n + c1) * n
+                                + c0 + constants[n & 1], 48)
+            if rem:
+                raise ArithmeticError(
+                    f"scaled polynomial not divisible by 48 at m={m}, k={k}, "
+                    f"r={r}, n={n} (case {polynomial_case(m, k, r, n)}): "
+                    f"coefficient table transcription defect")
+            values.append(value)
+    return values
 
 
 def polynomial_case(m: int, k: int, r: int, n: int) -> str:
@@ -153,26 +163,8 @@ def dim_closed_form(m: int, k: int, r: int, n: int) -> int:
 
     Requires the normalized position m/2 >= k >= r >= n >= 0.
     """
-    case = polynomial_case(m, k, r, n)
-    if case == "I":
-        val48 = _poly_low_x48(k, r, n)
-    elif case == "II.1":
-        val48 = 48 + _poly_mid_x48(k, r, n)  # constant 1
-    elif case == "II.2":
-        val48 = 45 + _poly_mid_x48(k, r, n)  # constant 15/16
-    elif case == "III.1":
-        val48 = 48 + _poly_high_x48(m, k, r, n)  # constant 1
-    elif case == "III.2":
-        val48 = 42 + _poly_high_x48(m, k, r, n)  # constant 7/8
-    else:  # III.3
-        val48 = 45 + _poly_high_x48(m, k, r, n)  # constant 15/16
-    value, rem = divmod(val48, 48)
-    if rem:
-        raise ArithmeticError(
-            f"scaled polynomial not divisible by 48 at m={m}, k={k}, r={r}, "
-            f"n={n} (case {case}): coefficient table transcription defect"
-        )
-    return value
+    _check_normalized(m, k, r, n)
+    return _line_dimensions(m, k, r, n, n)[0]
 
 
 def normalized_index(m: int, w: Weight) -> tuple[int, int, int] | None:
@@ -192,15 +184,15 @@ def dominant_dimensions(m: int) -> list[list[list[int]]]:
     i, j, l in [0, m/2]: the dimensions of S^m at the dominant weights
     (m - 2i, m - 2j, m - 2l).
 
-    dim_closed_form is evaluated once per normalized index and copied to
-    the other positions of its orbit.  Built per call and owned by the
+    Each normalized line (k, r) is evaluated once and copied to the
+    other positions of its orbit.  Built per call and owned by the
     caller, so nothing outlives the computation that needs it.
     """
     check_power(m)
     span = range(m // 2 + 1)
     # table[k][r][n] at the normalized indices k >= r >= n
-    table = [[[dim_closed_form(m, k, r, n) for n in range(r + 1)]
-              for r in range(k + 1)] for k in span]
+    table = [[_line_dimensions(m, k, r, 0, r) for r in range(k + 1)]
+             for k in span]
     cube = [[[] for _ in span] for _ in span]
     for i in span:
         for j in range(i + 1):

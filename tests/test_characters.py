@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -141,6 +142,19 @@ class TestGreedyDecompose:
         # two copies of V(2) (x) V(0) (x) V(0) need (0,0,0) twice
         with pytest.raises(NotAModuleCharacterError, match=r"\(0, 0, 0\)"):
             greedy_decompose({(2, 0, 0): 2, (0, 0, 0): 1, (-2, 0, 0): 2})
+
+    def test_short_weight_rejected_without_building_the_irreducible(self):
+        # the peel meets (60, 60, 58) short after one weight; building the
+        # 226,981 weights of V(60) (x) V(60) (x) V(60) first takes tens of MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotAModuleCharacterError,
+                               match=r"weight \(60, 60, 58\) has only 0 left"):
+                greedy_decompose({(0, 0, 0): 1, (60, 60, 60): 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     def test_non_positive_entry_rejected(self):
         for c in ({(1, 1, 1): 0},

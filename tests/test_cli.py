@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from math import comb
@@ -158,6 +159,23 @@ class TestPinnedOutput:
     def test_stdout(self, argv, want):
         assert run(argv) == (0, want, "")
 
+    # sha256 of stdout at the sizes the benchmark runs
+    @pytest.mark.parametrize("argv,digest", [
+        (["decompose", "100", "--format", "json"],
+         "e28a683b1ccf6a9687b00aa99bb148b06ce8f282858cf2ad4ec4e6d3378f2647"),
+        (["character", "100"],
+         "a649bf8c218d1a31b36d528d9f29e64dbb03d11af24ed80d1d81bc8287cebe1e"),
+        (["character", "70", "--format", "json"],
+         "434247646fa37a7efcf3d1fae5cec4ccb2027323c38fe24cf6ffa610b4fed6ee"),
+        (["character", "45", "--format", "csv"],
+         "d258b3691be9ca6e0b19e85ece9f10476e0d51b8b0f927dbba35c56f9f111315"),
+    ], ids=["decompose-100-json", "character-100-text", "character-70-json",
+            "character-45-csv"])
+    def test_stdout_digest_at_benchmark_size(self, argv, digest):
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("fmt,want", [
         ("text",
          "3 3 3 1\n3 1 1 1\n1 3 1 1\n1 1 3 1\n1 1 1 1\ntotal_dim = 120\n"),
@@ -224,6 +242,16 @@ class TestGreedy:
         code, _, err = run(["greedy", str(path)])
         assert code == 2
         assert "not a module character" in err
+
+    def test_large_short_irreducible_exits_2(self, tmp_path):
+        # rejected at its second weight, without the 3.4 M weights of
+        # V(150) (x) V(150) (x) V(150)
+        path = tmp_path / "short.char"
+        path.write_text("0 0 0 1\n150 150 150 1\n")
+        assert run(["greedy", str(path)]) == (
+            2, "", "error: not a module character: the irreducible with "
+            "highest weight (150, 150, 150) has multiplicity 1, but weight "
+            "(150, 150, 148) has only 0 left\n")
 
     def test_malformed_file_exits_2(self, tmp_path):
         path = tmp_path / "malformed.char"

@@ -5,6 +5,8 @@ from itertools import permutations, product
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symcube import (
     c2,
@@ -17,6 +19,36 @@ from symcube import (
     enumerate_character,
     polynomial_case,
 )
+from symcube import dims
+
+# One normalized index per closed-form branch, in the order of
+# polynomial_case's docstring, at the largest powers sampled below.
+BRANCH_EXAMPLES = [
+    (2000, 1000, 900, 3),   # I
+    (2000, 600, 600, 2),    # II.1
+    (2000, 600, 600, 1),    # II.2
+    (2000, 1000, 1000, 2),  # III.1
+    (2000, 1000, 1000, 1),  # III.2
+    (1999, 999, 999, 2),    # III.3
+]
+
+# dim_by_convolution makes (r + 1)(n + 1) c2 calls; bounding that keeps
+# an example to a few milliseconds at any power.
+CONVOLUTION_BUDGET = 20_000
+
+
+@st.composite
+def normalized_indices(draw):
+    # each of k, r, n near its upper bound half the time, so that r + n
+    # crosses the walls k and m - k of the three regimes while n stays small
+    def up_to(top):
+        return draw(st.integers(0, top) | st.integers(max(0, top - 30), top))
+
+    m = draw(st.integers(0, 2000))
+    k = up_to(m // 2)
+    r = up_to(k)
+    n = up_to(min(r, CONVOLUTION_BUDGET // (r + 1) - 1))
+    return m, k, r, n
 
 
 class TestC2:
@@ -100,6 +132,40 @@ class TestClosedForm:
         assert polynomial_case(10, 4, 4, 4) == "III.1"
         assert polynomial_case(10, 4, 4, 3) == "III.2"
         assert polynomial_case(11, 4, 4, 4) == "III.3"
+
+    def test_branch_examples_hit_every_case(self):
+        assert [polynomial_case(*idx) for idx in BRANCH_EXAMPLES] == \
+            ["I", "II.1", "II.2", "III.1", "III.2", "III.3"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(normalized_indices())
+    @example(BRANCH_EXAMPLES[0])
+    @example(BRANCH_EXAMPLES[1])
+    @example(BRANCH_EXAMPLES[2])
+    @example(BRANCH_EXAMPLES[3])
+    @example(BRANCH_EXAMPLES[4])
+    @example(BRANCH_EXAMPLES[5])
+    def test_agrees_with_convolution_up_to_m_2000(self, idx):
+        assert dim_closed_form(*idx) == dim_by_convolution(*idx)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        real = dims._coeffs_mid
+        monkeypatch.setattr(dims, "_coeffs_mid",
+                            lambda *mkr: (real(*mkr)[0] + 1, *real(*mkr)[1:]))
+        with pytest.raises(ArithmeticError,
+                           match=r"m=10, k=3, r=3, n=2 \(case II.1\)"):
+            dim_closed_form(10, 3, 3, 2)
+        with pytest.raises(ArithmeticError, match=r"\(case II.[12]\)"):
+            dims.dominant_dimensions(10)
+
+
+class TestDominantDimensions:
+    @pytest.mark.parametrize("m", list(range(31)) + [99, 100, 101])
+    def test_matches_closed_form(self, m):
+        span = range(m // 2 + 1)
+        assert dims.dominant_dimensions(m) == [
+            [[dim_closed_form(m, *sorted((i, j, l), reverse=True))
+              for l in span] for j in span] for i in span]
 
 
 class TestDimWeight:
