@@ -37,8 +37,10 @@ for idx in [(8, 3, 2, 2), (11, 5, 4, 1), (40, 18, 16, 16)]:
     print(f"  C{idx}: {dim_closed_form(*idx)} / {dim_by_convolution(*idx)}"
           f" / {convolution_bruteforce(*idx)}")
 
-# Whole characters: enumerating all C(m+7, 7) degree-m monomials and
-# tallying weights reproduces the closed-form character exactly.
+# Whole characters: enumerating all C(m+7, 7) degree-m monomials, each as
+# a pair of factor multisets from the blocks i = 0 and i = 1, and tallying
+# their weights one monomial at a time reproduces the closed-form character
+# exactly.
 check_characters(8)
 print("\nmonomial enumeration == closed-form characters for m <= 8")
 

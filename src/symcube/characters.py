@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from itertools import product
 
 from .core import (Character, Decomposition, IrrepLabel, Weight,
-                   check_label, check_power)
+                   check_label, check_power, check_weight)
 from .dims import weight_dimensions
 
 
@@ -67,12 +67,13 @@ def greedy_decompose(c: Character) -> Decomposition:
     first short weight.  On characters of actual modules this
     reconstructs the multiset of irreducible summands exactly.
 
-    Raises NotAModuleCharacterError when the input is not such a
-    character: an entry is not a positive int, a weight with positive
-    remainder has a negative component (a module's highest weights are
-    dominant), or a subtraction would take a weight below zero.
+    Raises ValueError on a key that is not a weight, and its subclass
+    NotAModuleCharacterError on an entry that is not a positive int, on a
+    weight with positive remainder and a negative component (a module's
+    highest weights are dominant) and on a subtraction below zero.
     """
     for w, d in c.items():
+        check_weight(w)
         if type(d) is not int or d <= 0:
             raise NotAModuleCharacterError(
                 f"not a module character: weight {w} has non-positive "

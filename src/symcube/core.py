@@ -117,16 +117,19 @@ def decomposition_total(dec: Decomposition) -> int:
 def parse_character(text: str) -> Character:
     """Parse the line-oriented character format.
 
-    One entry per line: four whitespace-separated decimal integers
-    ``l1 l2 l3 dim`` with dim > 0.  Lines starting with ``#`` are comments;
-    blank lines are ignored; entry order is irrelevant; a repeated weight
-    is an error.
+    One entry per line: four whitespace-separated ASCII decimal integers
+    ``l1 l2 l3 dim`` (sign allowed, no ``_``) with dim > 0.  Lines starting
+    with ``#`` are comments; blank lines are ignored; entry order is
+    irrelevant; a repeated weight is an error.
     """
     entries: Character = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if "_" in line or not line.isascii():
+            raise CharacterFormatError(
+                f"line {lineno}: not an ASCII decimal integer in {raw!r}")
         fields = line.split()
         if len(fields) != 4:
             raise CharacterFormatError(

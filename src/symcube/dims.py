@@ -41,11 +41,8 @@ from .core import Weight, check_power, check_weight
 
 def c2(r1: int, r2: int, r3: int) -> int:
     """Number of 2x2 non-negative integer matrices with total r1,
-    second-row sum r2 and second-column sum r3.
-
-    Zero whenever r2 > r1 or r3 > r1; otherwise
-    min(r2, r3, r1 - r2, r1 - r3) + 1.
-    """
+    second-row sum r2 and second-column sum r3: zero if r2 > r1 or
+    r3 > r1, else min(r2, r3, r1 - r2, r1 - r3) + 1."""
     if r2 > r1 or r3 > r1:
         return 0
     return min(r2, r3, r1 - r2, r1 - r3) + 1

@@ -1,12 +1,15 @@
-"""Brute-force ground truth, deliberately naive.
+"""Brute-force ground truth.
 
-Everything here recounts objects by direct enumeration, with no formulas
-beyond non-negativity checks, so that the closed forms and convolution
-identities elsewhere can be validated against code that is obviously
-counting the defined sets.
+Everything here counts the defined sets by direct enumeration, with no
+formula beyond non-negativity checks, so that the closed forms and the
+convolution identities elsewhere are validated against plain counting.
 """
 
-from .core import Character, check_power, weight_of_monomial
+from collections import Counter
+from itertools import combinations_with_replacement, product, starmap
+from operator import add
+
+from .core import Character, check_power
 
 DEFAULT_ENUMERATION_CAP = 20
 
@@ -18,33 +21,29 @@ class OracleCapError(ValueError):
 def enumerate_character(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Character:
     """Character of the m-th symmetric power by enumerating every monomial.
 
-    Visits all C(m+7, 7) exponent tuples of degree m via seven nested
-    bounded loops with the eighth exponent derived, computes each weight
-    and tallies.  Intentionally unoptimized.
+    Splitting a degree-m monomial in the factors x[i,j,l] by i is a
+    bijection onto the pairs of a size-(m - k) multiset from the block
+    i = 0 and a size-k one from the block i = 1, k in 0..m.  Coding
+    x[i,j,l] as j*b + l with b = m + 1, a pair's code sum is r*b + n with
+    r, n <= m < b its counts of factors with j = 1 and l = 1, so divmod
+    by b recovers them uniquely; the weight is (m-2k, m-2r, m-2n), as in
+    core.weight_of_monomial.  Each of the C(m+7, 7) pairs adds one to its
+    code's tally, with the sums and tallies done in C (itertools, Counter).
     """
     check_power(m)
+    if type(cap) is not int or cap < 0:
+        raise ValueError(f"cap must be a non-negative int, got {cap!r}")
     if m > cap:
         raise OracleCapError(f"oracle cap exceeded: m={m} > cap={cap}")
+    b = m + 1
+    sums = [list(map(sum, combinations_with_replacement((0, 1, b, b + 1), s)))
+            for s in range(m + 1)]  # code sums of the size-s multisets
     tally: Character = {}
-    for a001 in range(m + 1):
-        s1 = a001
-        for a010 in range(m + 1 - s1):
-            s2 = s1 + a010
-            for a011 in range(m + 1 - s2):
-                s3 = s2 + a011
-                for a100 in range(m + 1 - s3):
-                    s4 = s3 + a100
-                    for a101 in range(m + 1 - s4):
-                        s5 = s4 + a101
-                        for a110 in range(m + 1 - s5):
-                            s6 = s5 + a110
-                            for a111 in range(m + 1 - s6):
-                                a000 = m - s6 - a111
-                                w = weight_of_monomial(
-                                    (a000, a001, a010, a011,
-                                     a100, a101, a110, a111)
-                                )
-                                tally[w] = tally.get(w, 0) + 1
+    for k in range(m + 1):
+        codes = Counter(starmap(add, product(sums[m - k], sums[k])))
+        for code, count in codes.items():
+            r, n = divmod(code, b)
+            tally[(m - 2 * k, m - 2 * r, m - 2 * n)] = count
     return tally
 
 

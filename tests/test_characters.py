@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from math import comb
 
@@ -163,6 +164,13 @@ class TestGreedyDecompose:
                   {(0, 0, 0): 1.5}, {(0, 0, 0): True}):
             with pytest.raises(NotAModuleCharacterError, match="non-positive"):
                 greedy_decompose(c)
+
+    @pytest.mark.parametrize("key", [(0, 0, 0, 0), (0, 0), (True, 0, 0),
+                                     (0.0, 0, 0)])
+    def test_key_that_is_not_a_weight_rejected(self, key):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a weight must be a tuple of three ints, got {key!r}")):
+            greedy_decompose({key: 1})
 
     @settings(max_examples=60)
     @given(decompositions)

@@ -260,6 +260,15 @@ class TestGreedy:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("text", ["1_0 0 0 1\n", "0 0 0 1_0\n",
+                                      "\u0661 1 1 1\n"])
+    def test_non_ascii_decimal_spelling_exits_2(self, tmp_path, text):
+        path = tmp_path / "spelled.char"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(["greedy", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: ")
+
     def test_missing_file_exits_2(self, tmp_path):
         code, _, err = run(["greedy", str(tmp_path / "nope.char")])
         assert code == 2

@@ -142,6 +142,12 @@ class TestCharacterFile:
         with pytest.raises(CharacterFormatError):
             parse_character("0 0 x 1\n")
 
+    @pytest.mark.parametrize("line", ["1_0 0 0 1", "0 0 0 1_0",
+                                      "\u0661 1 1 1", "1\u00a01 1 1"])
+    def test_only_ascii_decimal_digits(self, line):
+        with pytest.raises(CharacterFormatError, match="^line 2: "):
+            parse_character(f"# comment \u00e9\n{line}\n")
+
     @given(characters)
     def test_round_trip(self, c):
         assert parse_character(format_character(c)) == c

@@ -1,3 +1,5 @@
+from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
@@ -7,8 +9,17 @@ from symcube import (
     c2_bruteforce,
     convolution_bruteforce,
     enumerate_character,
+    weight_of_monomial,
 )
-from symcube.verify import check_dimensions
+from symcube import characters, dims
+from symcube.verify import VerificationError, check_characters, check_dimensions
+
+
+def character_by_definition(m):
+    """Tally core.weight_of_monomial over every exponent tuple of degree m:
+    seven free exponents, the eighth what is left of m."""
+    return Counter(weight_of_monomial((m - sum(e), *e))
+                   for e in product(range(m + 1), repeat=7) if sum(e) <= m)
 
 
 class TestEnumerateCharacter:
@@ -31,9 +42,45 @@ class TestEnumerateCharacter:
         # caps are configurable, not hard-coded
         assert enumerate_character(3, cap=3) == enumerate_character(3)
 
-    @pytest.mark.parametrize("m", range(9))
+    @pytest.mark.parametrize("cap", [None, 2.5, True, -1])
+    def test_cap_must_be_a_non_negative_int(self, cap):
+        with pytest.raises(ValueError, match=f"cap must be .*, got {cap!r}"):
+            enumerate_character(0, cap=cap)
+
+    @pytest.mark.parametrize("m", range(21))
     def test_totals(self, m):
-        assert sum(enumerate_character(m).values()) == comb(m + 7, 7)
+        # one tally increment per monomial: the counts sum to C(m+7, 7)
+        c = enumerate_character(m)
+        assert sum(c.values()) == comb(m + 7, 7)
+        assert len(c) == (m + 1) ** 3
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_matches_definition(self, m):
+        assert enumerate_character(m) == character_by_definition(m)
+
+    def test_independent_of_the_formulas(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle called a formula")
+
+        for module, name in ((dims, "dim_closed_form"),
+                             (dims, "dominant_dimensions"),
+                             (characters, "character_symmetric_power")):
+            monkeypatch.setattr(module, name, refuse)
+        assert sum(enumerate_character(10).values()) == comb(17, 7)
+
+    def test_detects_one_wrong_dimension_at_m_20(self, monkeypatch):
+        build = characters.character_symmetric_power
+
+        def off_by_one(m):
+            c = build(m)
+            if m == 20:
+                c[(4, -2, 0)] += 1
+            return c
+
+        monkeypatch.setattr(characters, "character_symmetric_power",
+                            off_by_one)
+        with pytest.raises(VerificationError, match=r"at m = 20$"):
+            check_characters(20)
 
 
 class TestBruteforceCounts:
