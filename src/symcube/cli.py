@@ -8,12 +8,14 @@ character input and the like), 3 verification mismatch.
 import argparse
 import json
 import sys
+from math import comb
 from operator import add
 
 from .characters import greedy_decompose
-from .core import Decomposition, parse_character
+from .core import parse_character
 from .dims import dim_weight, weight_dimensions
-from .multiplicity import decompose_symmetric_power, multiplicity_sym
+from .multiplicity import decomposition_planes, multiplicity_sym
+from .oracle import check_cap
 from .verify import (
     VerificationError,
     check_c2,
@@ -32,35 +34,48 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _integer(text: str) -> int:
+    if "_" in text or not text.isascii() or text != text.strip():
+        raise argparse.ArgumentTypeError(
+            f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 def _nonneg(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
-def _render_decomposition(dec: Decomposition, fmt: str,
-                          m: int | None = None) -> None:
-    # Rows come in the dict's order, which both builders make descending
-    # lexicographic; the json is byte for byte what json.dumps renders
-    # for {"m": m (decompose only), "entries": [{"label": [n1, n2, n3],
-    # "mult": x}, ...], "total_dim": total}.  Both builders insert only
-    # positive multiplicities at non-negative labels, so the total is
-    # summed from the rows without checking them again.
-    items, write = dec.items(), sys.stdout.write
-    total = sum([x * (n1 + 1) * (n2 + 1) * (n3 + 1)
-                 for (n1, n2, n3), x in items])
+def _render_decomposition(planes, fmt: str, m: int | None = None) -> int:
+    # One join and one write per plane of (label, mult) rows, which both
+    # builders give in descending lexicographic order; the json is byte
+    # for byte what json.dumps renders for {"m": m (decompose only),
+    # "entries": [{"label": [n1, n2, n3], "mult": x}, ...], "total_dim":
+    # total}.  Returns the total, summed from the rows as they are written.
+    write, total, lead = sys.stdout.write, 0, ""
     if fmt == "json":
         write('{"entries": [' if m is None else f'{{"m": {m}, "entries": [')
-        write(", ".join([f'{{"label": [{n1}, {n2}, {n3}], "mult": {x}}}'
-                         for (n1, n2, n3), x in items]))
-        write(f'], "total_dim": {total}}}\n')
-        return
+    elif fmt == "csv":
+        write("n1,n2,n3,mult\n")
     sep = "," if fmt == "csv" else " "
-    rows = "".join([f"{n1}{sep}{n2}{sep}{n3}{sep}{x}\n"
-                    for (n1, n2, n3), x in items])
-    write("n1,n2,n3,mult\n" + rows if fmt == "csv"
-          else f"{rows}total_dim = {total}\n")
+    for rows in planes:
+        total += sum([x * (n1 + 1) * (n2 + 1) * (n3 + 1)
+                      for (n1, n2, n3), x in rows])
+        if fmt != "json":
+            write("".join([f"{n1}{sep}{n2}{sep}{n3}{sep}{x}\n"
+                           for (n1, n2, n3), x in rows]))
+        elif rows:
+            write(lead + ", ".join([
+                f'{{"label": [{n1}, {n2}, {n3}], "mult": {x}}}'
+                for (n1, n2, n3), x in rows]))
+            lead = ", "
+    if fmt == "json":
+        write(f'], "total_dim": {total}}}\n')
+    elif fmt == "text":
+        write(f"total_dim = {total}\n")
+    return total
 
 
 def _print_scalar(args, key, triple, columns, field, value) -> None:
@@ -87,8 +102,11 @@ def _cmd_mult(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    dec = decompose_symmetric_power(args.m)
-    _render_decomposition(dec, args.format, m=args.m)
+    m, want = args.m, comb(args.m + 7, 7)
+    total = _render_decomposition(decomposition_planes(m), args.format, m=m)
+    if total != want:
+        raise VerificationError(f"decomposition total_dim {total} != "
+                                f"C(m+7, 7) = {want} at m = {m}")
     return 0
 
 
@@ -126,7 +144,7 @@ def _cmd_greedy(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     dec = greedy_decompose(parse_character(text))
-    _render_decomposition(dec, args.format)
+    _render_decomposition([dec.items()], args.format)
     return 0
 
 
@@ -134,6 +152,7 @@ def _cmd_verify(args) -> int:
     max_m = args.max_m
     if max_m is None:
         max_m = 20 if args.mode == "extended" else 12
+    check_cap(max_m)
     check_c2(40)
     print("2x2 matrix counts: closed form == brute force for r1 <= 40")
     cases = check_dimensions(16)
@@ -167,9 +186,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="dimension of one weight space of S^m")
     p.add_argument("m", type=_nonneg, help="symmetric power")
-    p.add_argument("l1", type=int)
-    p.add_argument("l2", type=int)
-    p.add_argument("l3", type=int)
+    p.add_argument("l1", type=_integer)
+    p.add_argument("l2", type=_integer)
+    p.add_argument("l3", type=_integer)
     add_format(p)
     p.set_defaults(func=_cmd_dim)
 

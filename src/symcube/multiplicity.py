@@ -8,15 +8,17 @@ multiplicity at w itself, turning a character into a multiplicity
 without any recursion.  In co-indices (m - n) / 2 the eight corners of
 every label at once are three backward differences, one along each
 axis, of the dimensions at the dominant weights (Fulton and Harris,
-Representation Theory, section 11).
+Representation Theory, section 11), taken one plane (one n1) at a time
+while holding the cube and two difference planes, never the whole table.
 """
 
+from collections.abc import Iterator
 from itertools import product
 from operator import sub
 
+from . import dims
 from .core import (Character, Decomposition, IrrepLabel, check_label,
                    check_power)
-from .dims import dim_weight, dominant_dimensions
 
 _CORNERS = [
     (offs, -1 if (sum(offs) // 2) % 2 else 1)
@@ -54,34 +56,38 @@ def multiplicity_sym(m: int, label: IrrepLabel) -> int:
     if any(v > m or (v - m) % 2 != 0 for v in label):
         return 0
     return sum(
-        sign * dim_weight(m, (n1 + d1, n2 + d2, n3 + d3))
+        sign * dims.dim_weight(m, (n1 + d1, n2 + d2, n3 + d3))
         for (d1, d2, d3), sign in _CORNERS
     )
 
 
-def decompose_symmetric_power(m: int) -> Decomposition:
-    """Complete decomposition of the m-th symmetric power.
+def decomposition_planes(m: int) -> Iterator[list[tuple[IrrepLabel, int]]]:
+    """The decomposition of the m-th symmetric power, one plane at a time.
 
     Labels have components in {m mod 2, m mod 2 + 2, ..., m}, co-indices
     (m - n) / 2 in [0, m/2] (weights of the power lie in [-m, m]^3, so
     nothing outside can occur).  The eight-corner sum at every label is
     the backward difference of the dominant_dimensions(m) cube along l,
-    then j, then i, with dimension 0 below co-index 0.  Co-indices are
-    walked in ascending order, so entries are inserted in descending
-    lexicographic label order.
+    then j, then i, with dimension 0 below co-index 0.  Yields, for
+    n1 = m, m - 2, ..., the (label, mult) rows with first component n1
+    and mult != 0 in descending lexicographic order, holding besides the
+    cube (O(m^3) ints) only O(m^2) ints of difference planes and rows.
     """
-    cube = dominant_dimensions(m)
+    cube = dims.dominant_dimensions(m)
     values = range(m, -1, -2)
     zero = [0] * len(values)
     below = [zero] * len(values)  # the plane at co-index i - 1
-    found: Decomposition = {}
     for n1, plane in zip(values, cube):
         d_l = [[row[0], *map(sub, row[1:], row)] for row in plane]
         d_lj = [list(map(sub, row, prev))
                 for row, prev in zip(d_l, [zero, *d_l])]
-        for n2, row, prev in zip(values, d_lj, below):
-            for n3, x in zip(values, map(sub, row, prev)):
-                if x:
-                    found[(n1, n2, n3)] = x
+        yield [((n1, n2, n3), x)
+               for n2, row, prev in zip(values, d_lj, below)
+               for n3, x in zip(values, map(sub, row, prev)) if x]
         below = d_lj
-    return found
+
+
+def decompose_symmetric_power(m: int) -> Decomposition:
+    """Complete decomposition of the m-th symmetric power: every row of
+    decomposition_planes(m), in its order, held in one dict."""
+    return {label: x for rows in decomposition_planes(m) for label, x in rows}

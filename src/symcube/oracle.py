@@ -18,6 +18,15 @@ class OracleCapError(ValueError):
     """Requested enumeration exceeds the configured cap."""
 
 
+def check_cap(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """Raise OracleCapError if m > cap, ValueError on a malformed m or cap."""
+    check_power(m)
+    if type(cap) is not int or cap < 0:
+        raise ValueError(f"cap must be a non-negative int, got {cap!r}")
+    if m > cap:
+        raise OracleCapError(f"oracle cap exceeded: m={m} > cap={cap}")
+
+
 def enumerate_character(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Character:
     """Character of the m-th symmetric power by enumerating every monomial.
 
@@ -30,11 +39,7 @@ def enumerate_character(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Character
     core.weight_of_monomial.  Each of the C(m+7, 7) pairs adds one to its
     code's tally, with the sums and tallies done in C (itertools, Counter).
     """
-    check_power(m)
-    if type(cap) is not int or cap < 0:
-        raise ValueError(f"cap must be a non-negative int, got {cap!r}")
-    if m > cap:
-        raise OracleCapError(f"oracle cap exceeded: m={m} > cap={cap}")
+    check_cap(m, cap)
     b = m + 1
     sums = [list(map(sum, combinations_with_replacement((0, 1, b, b + 1), s)))
             for s in range(m + 1)]  # code sums of the size-s multisets

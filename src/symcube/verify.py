@@ -45,7 +45,7 @@ def check_dimensions(top_m: int) -> int:
 def check_characters(top_m: int) -> int:
     """Monomial enumeration vs the closed-form character of S^m, m <= top_m."""
     for m in range(top_m + 1):
-        if oracle.enumerate_character(m, cap=top_m) != \
+        if oracle.enumerate_character(m) != \
                 characters.character_symmetric_power(m):
             raise VerificationError(f"monomial enumeration differs from "
                                     f"closed-form character at m = {m}")

@@ -2,12 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import tracemalloc
 from math import comb
 
 import pytest
 
 from symcube import (character_irrep, character_symmetric_power,
                      format_character)
+from symcube import dims
 from symcube.cli import main
 
 
@@ -192,6 +194,91 @@ class TestPinnedOutput:
         path.write_text(format_character(character_symmetric_power(3)))
         assert run(["greedy", str(path), "--format", fmt]) == (0, want, "")
 
+    # sha256 of stdout, taken when decompose still rendered one dict
+    @pytest.mark.parametrize("m,fmt,digest", [
+        (0, "text",
+         "e936350bd750d8988be9970308da82f57510f3fdba617af79292ddc0851c01de"),
+        (0, "csv",
+         "3bffe51b732a6ba43cf97ba13ec6ccc71d2b4787e6dc3adc155ad191ed9f65bf"),
+        (0, "json",
+         "bbf2435c31f97d11153df1fcf7bc81aa1a996f95f51d66daf70978c6257a5446"),
+        (1, "text",
+         "76c60965ce446af0a1bed118d179425c220141fbc69431d7a2e4cc6314357e90"),
+        (1, "csv",
+         "1fb70997fdc07c7375e6a665b0d887b4d7936126c4e7c6aa8efe50e30fed166e"),
+        (1, "json",
+         "0e37238c2c3d4b4add392c9d8746471cd2fb202d581c864c36b5c68f2920be44"),
+        (2, "text",
+         "3f7a5d12c50c9035c23cb7e629b0357978afd6571c88b38ed742060951dc03e7"),
+        (2, "csv",
+         "04ab5932f26da8b6e24958e0c5ce975eb594d71e505103f21476b0aedaecb97b"),
+        (2, "json",
+         "312b8862cb5abb2101236744168c21baf650d770b6651eebf2ba9d077973c628"),
+        (7, "text",
+         "2489bc3c1b688a74c79fa731570760f8a4a6fde963e6a4eca7f89c8520d5369d"),
+        (7, "csv",
+         "68c195cb3b104126f5cc39e7206d0a7ab29305812117d281291a1a377cb988d8"),
+        (7, "json",
+         "556de07287e1b4a33f38efe64c3c1e4ce3bc718e07cea34282467f075bad9e99"),
+        (35, "text",
+         "2e0221ed9e02c74fa24dc3eb0accc91e1e1447d2ef434d2f1074ee494cc3fdec"),
+        (35, "csv",
+         "9ee8b90ff7be8d0a8c3b4606e371c215883f94e519e6d5e066527f63a4c878f2"),
+        (35, "json",
+         "1c4e8299add0f5426f35bc570516f3fa68f84b3baa693dcbd0abd336d45cf227"),
+        (45, "text",
+         "3e4d270e073e603eeaa11336596645baec0c852b579da678090221e9a4dd7528"),
+        (45, "csv",
+         "eec91a25cc12cc47797e5271ac4819215ef9e1f8604aad327a0450da560a794d"),
+        (45, "json",
+         "baa539980d6cb95ef89814b4cf5237d13bb9de93c38a1ddb163f86a55ae23ec0"),
+        (70, "text",
+         "d576ab0e396b61909817f21a3f01b05582d95480ad447349272a6e7bd97ccc09"),
+        (70, "csv",
+         "1bbe800bf114d706fc312d03f575897b0413b427fafb10d68c5cba5e4f35540d"),
+        (70, "json",
+         "c10415ca7d485eb16069922b94d26971d5d78777f86ebe55e92ec32a73839258"),
+        (100, "text",
+         "758b3b3e24f754453e26a67ce8217fd7f295e6230d3cff154a1f2798b01e9d3c"),
+        (100, "csv",
+         "95527cb587235a70c892ccda174ffecd8c87757beaa8c30a8635ba230e586629"),
+        (100, "json",
+         "e28a683b1ccf6a9687b00aa99bb148b06ce8f282858cf2ad4ec4e6d3378f2647"),
+        (101, "text",
+         "4884e6367d3cf3f52c9a511be63680405e17472610dd227ce10ccb94c630793a"),
+        (101, "csv",
+         "41861ca075e1b56a3a58a692a382fe8e8501bb21d441a8f94f9525113677d1ec"),
+        (101, "json",
+         "96b28ad12084de77c341040f9f66892b0e2c0038ba145dc906b2a66cd26ee7c5"),
+    ], ids=[f"{m}-{fmt}" for m in (0, 1, 2, 7, 35, 45, 70, 100, 101)
+            for fmt in ("text", "csv", "json")])
+    def test_decompose_digest(self, m, fmt, digest):
+        code, out, err = run(["decompose", str(m), "--format", fmt])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("m,fmt,digest", [
+        (14, "text",
+         "2b5f26af79c9f20620aabef9f4b86a5b5d01672c8302f612e9d45886a540fe39"),
+        (14, "csv",
+         "027cf241018c690edd451b08e46cba5c4d5175e8554fc03351eac935dc30cc2f"),
+        (14, "json",
+         "a05e931e31f9ba57a0e7996178373cf67bcae99678ebed182f6d3122707e4a78"),
+        (18, "text",
+         "5a8d3e126f9633fafc1d5e66495aec4e734c56a6c4e8604d16c3bd88b86f53ed"),
+        (18, "csv",
+         "582bb706f1c5989dd3e608c2ab12b28c9dc6b4b4075cb3367203f5d9741a681d"),
+        (18, "json",
+         "b75e717006cc8a43fbff0f59ee8fafe99e3890dcf957949331ccb5c6dbe883ef"),
+    ], ids=[f"S{m}-{fmt}" for m in (14, 18)
+            for fmt in ("text", "csv", "json")])
+    def test_greedy_digest(self, tmp_path, m, fmt, digest):
+        path = tmp_path / f"s{m}.char"
+        path.write_text(format_character(character_symmetric_power(m)))
+        code, out, err = run(["greedy", str(path), "--format", fmt])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_spelled_as_json_dumps(self, tmp_path):
         paths = [tmp_path / "s5.char", tmp_path / "empty.char"]
         paths[0].write_text(format_character(character_symmetric_power(5)))
@@ -202,6 +289,43 @@ class TestPinnedOutput:
             code, out, _ = run(argv + ["--format", "json"])
             assert code == 0, argv
             assert out == json.dumps(json.loads(out)) + "\n", argv
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+class TestDecomposeStreams:
+    def test_holds_no_more_than_the_cube(self):
+        # the table of S^100 has 64,476 rows; rendering them from one dict
+        # peaked at about 7 times the dimension cube
+        tracemalloc.start()
+        try:
+            dims.dominant_dimensions(100)
+            cube_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with contextlib.redirect_stdout(_Discard()):
+                code = main(["decompose", "100", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.5 * cube_peak, (peak, cube_peak)
+
+    def test_wrong_total_exits_3(self, monkeypatch):
+        real = dims.dominant_dimensions
+
+        def off_by_one(m):
+            cube = real(m)
+            cube[2][1][0] += 1
+            return cube
+
+        monkeypatch.setattr(dims, "dominant_dimensions", off_by_one)
+        code, _, err = run(["decompose", "12"])
+        assert code == 3
+        assert err.startswith("mismatch: decomposition total_dim ")
+        assert err.endswith(f"!= C(m+7, 7) = {comb(19, 7)} at m = 12\n")
 
 
 class TestCharacter:
@@ -295,6 +419,28 @@ class TestVerify:
                        "(r1, r2, r3) = (1, 0, 0)\n")
 
 
+    @pytest.mark.parametrize("argv,top", [
+        ([], 12),
+        (["--max-m", "12"], 12),
+        (["--mode", "extended"], 20),
+        (["--mode", "extended", "--max-m", "20"], 20),
+    ])
+    def test_stdout(self, argv, top):
+        assert run(["verify", *argv]) == (0, (
+            "2x2 matrix counts: closed form == brute force for r1 <= 40\n"
+            "weight dimensions: closed form == convolution == pair "
+            "enumeration for m <= 16 (825 indices)\n"
+            f"characters: monomial enumeration == closed forms for m <= {top}\n"
+            "decompositions: greedy == inclusion-exclusion for m <= 10\n"
+            "all checks passed\n"), "")
+
+    def test_max_m_beyond_the_oracle_cap_exits_2_at_once(self, monkeypatch):
+        # a check that ran would fail with exit 3
+        monkeypatch.setattr("symcube.dims.c2", lambda r1, r2, r3: r1 + 1)
+        assert run(["verify", "--max-m", "21"]) == (
+            2, "", "error: oracle cap exceeded: m=21 > cap=20\n")
+
+
 class TestUsageErrors:
     def test_missing_arguments(self):
         code, _, err = run(["dim", "40"])
@@ -316,3 +462,22 @@ class TestUsageErrors:
     def test_unknown_command(self):
         code, _, _ = run(["frobnicate"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "1_0"],
+        ["decompose", "\u0661\u0660"],
+        ["decompose", " 2"],
+        ["decompose", "2\n"],
+        ["dim", " 2", "0", "0", "\u0662"],
+        ["dim", "2", "0", "0", "\u0662"],
+        ["dim", "2", "-\u0662", "0", "0"],
+        ["dim", "2", "0", "2_0", "0"],
+        ["mult", "4", "0", "0", "0\u00a0"],
+        ["character", "\uff12"],
+        ["verify", "--max-m", "1_2"],
+    ])
+    def test_not_an_ascii_decimal(self, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: argument ")
+        assert "not an ASCII decimal integer" in err

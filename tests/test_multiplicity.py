@@ -13,6 +13,7 @@ from symcube import (
     multiplicity_general,
     multiplicity_sym,
 )
+from symcube.multiplicity import decomposition_planes
 
 
 class TestMultiplicitySym:
@@ -152,3 +153,14 @@ class TestDecomposeSymmetricPower:
                     label = (n1, n2, n3)
                     want = multiplicity_sym(m, label)
                     assert dec.get(label, 0) == want, label
+
+
+class TestDecompositionPlanes:
+    @pytest.mark.parametrize("m", range(31))
+    def test_dict_is_the_planes_in_order(self, m):
+        planes = list(decomposition_planes(m))
+        assert len(planes) == m // 2 + 1
+        assert list(decompose_symmetric_power(m).items()) == [
+            row for rows in planes for row in rows]
+        for n1, rows in zip(range(m, -1, -2), planes):
+            assert all(label[0] == n1 for label, _ in rows)
