@@ -4,9 +4,14 @@ Decomposing symmetric powers into irreducibles
 
 S^m(C2 (x) C2 (x) C2) is a completely reducible module over
 sl2(C) + sl2(C) + sl2(C), so it splits into irreducibles
-V(n1) (x) V(n2) (x) V(n3).  The multiplicity of each label is an
-alternating sum of eight weight-space dimensions, and the whole table
-follows by scanning all candidate labels.
+V(n1) (x) V(n2) (x) V(n3).  A whole table comes from the weight-space
+dimensions: the multiplicity of each label is an alternating sum of
+eight of them, taken for all labels at once as backward differences of
+the cube of dimensions at the dominant weights.  A single multiplicity
+needs no dimension at all: it counts the monomials of degree m in the
+six covariants f, B1, B2, B3, T and Delta (the hyperdeterminant) that
+have the label as highest weight and T-exponent 0 or 1.  The invariants,
+copies of the trivial module, are then the powers of Delta.
 """
 
 from math import comb
@@ -27,9 +32,9 @@ for m in range(5):
 # appears three times in S^40.
 print("\nmultiplicity of (4,8,8) in S^40:", multiplicity_sym(40, (4, 8, 8)))
 
-# Invariants (copies of the trivial module) appear exactly in degrees
-# divisible by four: the invariant ring of a 2x2x2 array is generated by
-# Cayley's hyperdeterminant, which has degree 4.
+# Invariants (copies of the trivial module) are the powers of Cayley's
+# hyperdeterminant Delta, of degree 4: the only covariant monomials of
+# weight (0, 0, 0).  So mult(m; 0, 0, 0) = 1 exactly when 4 divides m.
 print("\ntrivial-module multiplicities for m = 0..24:")
 print([multiplicity_sym(m, (0, 0, 0)) for m in range(25)])
 

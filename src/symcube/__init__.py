@@ -2,10 +2,11 @@
 irreducible modules of sl2(C) + sl2(C) + sl2(C).
 
 Weight-space dimensions come from closed-form quartic polynomials and an
-independent convolution identity, multiplicities from an eight-corner
-inclusion-exclusion on those dimensions, and every formula is
-cross-checked against brute-force monomial enumeration.  All arithmetic
-is exact (Python ints throughout).
+independent convolution identity.  Decomposition tables are backward
+differences of the cube of dimensions at the dominant weights; a single
+multiplicity is an O(1) count of covariant monomials that reads no
+dimension.  Every formula is cross-checked against brute-force monomial
+enumeration.  All arithmetic is exact (Python ints throughout).
 """
 
 from .characters import (
@@ -19,15 +20,11 @@ from .core import (
     CharacterFormatError,
     Decomposition,
     IrrepLabel,
-    MonomialExponents,
     Weight,
-    character_add,
     character_total,
     decomposition_total,
-    format_character,
     irrep_dimension,
     parse_character,
-    weight_leq,
     weight_of_monomial,
 )
 from .dims import (
@@ -37,11 +34,7 @@ from .dims import (
     dim_weight,
     polynomial_case,
 )
-from .multiplicity import (
-    decompose_symmetric_power,
-    multiplicity_general,
-    multiplicity_sym,
-)
+from .multiplicity import decompose_symmetric_power, multiplicity_sym
 from .oracle import (
     OracleCapError,
     c2_bruteforce,
@@ -54,13 +47,11 @@ __all__ = [
     "CharacterFormatError",
     "Decomposition",
     "IrrepLabel",
-    "MonomialExponents",
     "NotAModuleCharacterError",
     "OracleCapError",
     "Weight",
     "c2",
     "c2_bruteforce",
-    "character_add",
     "character_irrep",
     "character_symmetric_power",
     "character_total",
@@ -71,13 +62,10 @@ __all__ = [
     "dim_closed_form",
     "dim_weight",
     "enumerate_character",
-    "format_character",
     "greedy_decompose",
     "irrep_dimension",
-    "multiplicity_general",
     "multiplicity_sym",
     "parse_character",
     "polynomial_case",
-    "weight_leq",
     "weight_of_monomial",
 ]

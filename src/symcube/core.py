@@ -21,28 +21,14 @@ IrrepLabel = tuple[int, int, int]
 Character = dict[Weight, int]
 Decomposition = dict[IrrepLabel, int]
 
-# Exponents (a000, a001, a010, a011, a100, a101, a110, a111) of a monomial
-# in the eight basis vectors x[i,j,l] of C2 (x) C2 (x) C2; the exponent of
-# x[i,j,l] sits at index 4i + 2j + l.  The degree is the sum of all eight.
-MonomialExponents = tuple[int, int, int, int, int, int, int, int]
-
 
 class CharacterFormatError(ValueError):
     """A character file violates the line format."""
 
 
-def weight_leq(w1: Weight, w2: Weight) -> bool:
-    """Partial order on weights: w1 precedes w2 iff every component grows
-    by a non-negative even amount.
-
-    For dominant w2 this says exactly that w1 occurs as a weight of the
-    irreducible module with highest weight w2.
-    """
-    return all(a <= b and (b - a) % 2 == 0 for a, b in zip(w1, w2))
-
-
-def weight_of_monomial(e: MonomialExponents) -> Weight:
-    """Weight of the monomial with exponent tuple e.
+def weight_of_monomial(e: tuple[int, ...]) -> Weight:
+    """Weight of the monomial with exponents e = (a000, a001, ..., a111),
+    that of the basis vector x[i,j,l] at index 4i + 2j + l.
 
     Each factor x[i,j,l] contributes (1-2i, 1-2j, 1-2l), so a degree-m
     monomial has weight (m-2k, m-2r, m-2n) where k, r, n count the factors
@@ -54,14 +40,6 @@ def weight_of_monomial(e: MonomialExponents) -> Weight:
     r = a010 + a011 + a110 + a111
     n = a001 + a011 + a101 + a111
     return (m - 2 * k, m - 2 * r, m - 2 * n)
-
-
-def character_add(c1: Character, c2: Character) -> Character:
-    """Pointwise sum of two characters (character of the direct sum)."""
-    out = dict(c1)
-    for w, d in c2.items():
-        out[w] = out.get(w, 0) + d
-    return out
 
 
 def check_counts(counts: Character | Decomposition) -> None:
@@ -150,9 +128,3 @@ def parse_character(text: str) -> Character:
             raise CharacterFormatError(f"line {lineno}: duplicate weight {w}")
         entries[w] = dim
     return entries
-
-
-def format_character(c: Character) -> str:
-    """Render a character in the line format, weights in descending
-    lexicographic order, so output can be fed back to parse_character."""
-    return "".join(f"{w[0]} {w[1]} {w[2]} {c[w]}\n" for w in sorted(c, reverse=True))

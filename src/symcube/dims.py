@@ -41,14 +41,17 @@ from .core import Weight, check_power, check_weight
 
 def c2(r1: int, r2: int, r3: int) -> int:
     """Number of 2x2 non-negative integer matrices with total r1,
-    second-row sum r2 and second-column sum r3: zero if r2 > r1 or
-    r3 > r1, else min(r2, r3, r1 - r2, r1 - r3) + 1."""
-    if r2 > r1 or r3 > r1:
+    second-row sum r2 and second-column sum r3: zero unless
+    0 <= r2, r3 <= r1, else min(r2, r3, r1 - r2, r1 - r3) + 1."""
+    if not (0 <= r2 <= r1 and 0 <= r3 <= r1):
         return 0
     return min(r2, r3, r1 - r2, r1 - r3) + 1
 
 
 def _check_normalized(m: int, k: int, r: int, n: int) -> None:
+    for name, value in zip("mkrn", (m, k, r, n)):
+        if type(value) is not int:
+            raise ValueError(f"index {name} must be an int, got {value!r}")
     if not (0 <= n <= r <= k and 2 * k <= m):
         raise ValueError(
             f"index not normalized: need m/2 >= k >= r >= n >= 0, "

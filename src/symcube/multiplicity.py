@@ -1,11 +1,22 @@
-"""Multiplicities by inclusion-exclusion on weight-space dimensions.
+"""Multiplicities of the irreducible summands of the symmetric powers.
 
-The weight space of a module M at a dominant weight w collects one
-dimension from every irreducible summand whose label dominates w in the
-even-componentwise order.  Alternating the dimensions over the eight
-corners w + (d1, d2, d3), di in {0, 2}, cancels everything except the
-multiplicity at w itself, turning a character into a multiplicity
-without any recursion.  In co-indices (m - n) / 2 the eight corners of
+One multiplicity is a count of covariant monomials.  The covariants of
+SL2 x SL2 x SL2 on C2 (x) C2 (x) C2 are generated by six, of degree d
+and highest weight w: the form f itself (d = 1, w = (1, 1, 1)), B1, B2
+and B3 (d = 2, w = (2, 0, 0), (0, 2, 0), (0, 0, 2)), T (d = 3,
+w = (1, 1, 1)) and Cayley's hyperdeterminant Delta (d = 4, w = 0), with
+one syzygy, which writes T^2 in the others (Briand, Luque and Thibon,
+"A complete set of covariants of the three qubit system", J. Phys. A 36
+(2003) 9915-9927).  The monomials with T-exponent c in {0, 1} are thus a
+basis, and multiplicity_sym counts those of degree m and the label's
+weight in O(1), reading no weight dimension.
+
+A full table comes from the dimensions instead.  The weight space of a
+module at a dominant weight w collects one dimension from every
+irreducible summand whose label dominates w in the even-componentwise
+order.  Alternating the dimensions over the eight corners
+w + (d1, d2, d3), di in {0, 2}, cancels everything except the
+multiplicity at w itself.  In co-indices (m - n) / 2 the eight corners of
 every label at once are three backward differences, one along each
 axis, of the dimensions at the dominant weights (Fulton and Harris,
 Representation Theory, section 11), taken one plane (one n1) at a time
@@ -13,52 +24,32 @@ while holding the cube and two difference planes, never the whole table.
 """
 
 from collections.abc import Iterator
-from itertools import product
 from operator import sub
 
 from . import dims
-from .core import (Character, Decomposition, IrrepLabel, check_label,
-                   check_power)
-
-_CORNERS = [
-    (offs, -1 if (sum(offs) // 2) % 2 else 1)
-    for offs in product((0, 2), repeat=3)
-]
-
-
-def multiplicity_general(c: Character, label: IrrepLabel) -> int:
-    """Multiplicity of the labeled irreducible in the module with
-    character c, as the alternating eight-corner sum of dimensions.
-
-    Returns the raw signed value: it is non-negative whenever c really is
-    a module character, so a negative result flags an invalid input.
-    Raises ValueError on a label with a negative component.
-    """
-    check_label(label)
-    n1, n2, n3 = label
-    return sum(
-        sign * c.get((n1 + d1, n2 + d2, n3 + d3), 0)
-        for (d1, d2, d3), sign in _CORNERS
-    )
+from .core import Decomposition, IrrepLabel, check_label, check_power
 
 
 def multiplicity_sym(m: int, label: IrrepLabel) -> int:
     """Multiplicity of the labeled irreducible in the m-th symmetric
-    power of C2 (x) C2 (x) C2.
+    power of C2 (x) C2 (x) C2: the number of covariant monomials
+    f^a B1^b1 B2^b2 B3^b3 T^c Delta^d, c in {0, 1}, of degree
+    a + 2(b1 + b2 + b3) + 3c + 4d = m and weight ni = a + 2bi + c.
 
-    Labels with a component exceeding m or of parity different from m
-    cannot occur and return 0 without touching the dimension formulas.
-    Raises ValueError on a malformed power or label.
+    These give a = h + 2d with h = (n1 + n2 + n3 - m) / 2 and
+    c = (n1 - h) mod 2, so the count is that of d >= 0 with
+    max(0, h) <= a <= min(ni) - c.  A label with a component above m or
+    of parity different from m returns 0.  Raises ValueError on a
+    malformed power or label.
     """
     check_power(m)
     check_label(label)
-    n1, n2, n3 = label
     if any(v > m or (v - m) % 2 != 0 for v in label):
         return 0
-    return sum(
-        sign * dims.dim_weight(m, (n1 + d1, n2 + d2, n3 + d3))
-        for (d1, d2, d3), sign in _CORNERS
-    )
+    h = (sum(label) - m) // 2
+    # d runs from max(0, ceil(-h / 2)) to (min(ni) - c - h) / 2; min(ni) - h
+    # is odd exactly when c = 1, so flooring (min(ni) - h) / 2 subtracts c
+    return max(0, (min(label) - h) // 2 - max(0, (1 - h) // 2) + 1)
 
 
 def decomposition_planes(m: int) -> Iterator[list[tuple[IrrepLabel, int]]]:

@@ -18,7 +18,6 @@ from math import comb
 from symcube import (
     c2,
     c2_bruteforce,
-    character_add,
     character_irrep,
     decompose_symmetric_power,
     decomposition_total,
@@ -144,11 +143,9 @@ def test_criterion_8_greedy_round_trip():
             for _ in range(rng.randint(1, 4)):
                 label = tuple(rng.randint(0, 6) for _ in range(3))
                 dec[label] = rng.randint(1, 3)
-            total = {}
+            total = Counter()
             for label, mult in dec.items():
-                piece = character_irrep(label)
-                for _ in range(mult):
-                    total = character_add(total, piece)
+                total.update(dict.fromkeys(character_irrep(label), mult))
             assert greedy_decompose(total) == dec
 
 

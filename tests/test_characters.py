@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from collections import Counter
 from math import comb
 
 import pytest
@@ -8,14 +9,12 @@ from hypothesis import strategies as st
 
 from symcube import (
     NotAModuleCharacterError,
-    character_add,
     character_irrep,
     character_symmetric_power,
     character_total,
     dim_weight,
     greedy_decompose,
     irrep_dimension,
-    weight_leq,
 )
 
 labels = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
@@ -23,12 +22,10 @@ decompositions = st.dictionaries(labels, st.integers(1, 3), min_size=1, max_size
 
 
 def character_of_decomposition(dec):
-    total = {}
+    total = Counter()
     for label, mult in dec.items():
-        piece = character_irrep(label)
-        for _ in range(mult):
-            total = character_add(total, piece)
-    return total
+        total.update(dict.fromkeys(character_irrep(label), mult))
+    return dict(total)
 
 
 def sl2_factor(n, slot):
@@ -88,8 +85,10 @@ class TestIrrepCharacter:
 
     @given(labels)
     def test_support_below_top_weight(self, label):
-        c = character_irrep(label)
-        assert all(weight_leq(w, label) for w in c)
+        # every weight is below the label by non-negative even amounts
+        for w in character_irrep(label):
+            assert all(n - x >= 0 and (n - x) % 2 == 0
+                       for x, n in zip(w, label)), (w, label)
 
 
 class TestSymmetricPowerCharacter:
@@ -119,6 +118,17 @@ class TestSymmetricPowerCharacter:
 
 
 class TestGreedyDecompose:
+    @given(st.tuples(*[st.integers(-15, 15)] * 3),
+           st.tuples(*[st.integers(0, 6)] * 3),
+           st.tuples(*[st.integers(0, 6)] * 3))
+    def test_dominating_weights_are_lexicographically_greater(self, w, step1,
+                                                              step2):
+        # the sweep order relies on it: a weight that exceeds w by
+        # non-negative even amounts comes before w in descending order
+        mid = tuple(a + 2 * s for a, s in zip(w, step1))
+        top = tuple(a + 2 * s for a, s in zip(mid, step2))
+        assert w <= mid <= top
+
     def test_single_irrep(self):
         assert greedy_decompose(character_irrep((1, 1, 1))) == {(1, 1, 1): 1}
 

@@ -7,8 +7,6 @@ from math import comb
 
 import pytest
 
-from symcube import (character_irrep, character_symmetric_power,
-                     format_character)
 from symcube import dims
 from symcube.cli import main
 
@@ -18,6 +16,14 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def write_character(path, m):
+    """Write the character of S^m to path as `symcube character m` prints
+    it; S^1 is V(1) (x) V(1) (x) V(1)."""
+    code, out, err = run(["character", str(m)])
+    assert (code, err) == (0, "")
+    path.write_text(out)
 
 
 class TestDim:
@@ -191,7 +197,7 @@ class TestPinnedOutput:
     ])
     def test_greedy_stdout(self, tmp_path, fmt, want):
         path = tmp_path / "s3.char"
-        path.write_text(format_character(character_symmetric_power(3)))
+        write_character(path, 3)
         assert run(["greedy", str(path), "--format", fmt]) == (0, want, "")
 
     # sha256 of stdout, taken when decompose still rendered one dict
@@ -274,14 +280,14 @@ class TestPinnedOutput:
             for fmt in ("text", "csv", "json")])
     def test_greedy_digest(self, tmp_path, m, fmt, digest):
         path = tmp_path / f"s{m}.char"
-        path.write_text(format_character(character_symmetric_power(m)))
+        write_character(path, m)
         code, out, err = run(["greedy", str(path), "--format", fmt])
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_json_spelled_as_json_dumps(self, tmp_path):
         paths = [tmp_path / "s5.char", tmp_path / "empty.char"]
-        paths[0].write_text(format_character(character_symmetric_power(5)))
+        write_character(paths[0], 5)
         paths[1].write_text("")
         argvs = ([["decompose", str(m)] for m in range(9)]
                  + [["greedy", str(path)] for path in paths])
@@ -355,7 +361,7 @@ class TestCharacter:
 class TestGreedy:
     def test_single_irrep_file(self, tmp_path):
         path = tmp_path / "cube.char"
-        path.write_text(format_character(character_irrep((1, 1, 1))))
+        write_character(path, 1)
         code, out, _ = run(["greedy", str(path)])
         assert code == 0
         assert out.splitlines() == ["1 1 1 1", "total_dim = 8"]

@@ -75,9 +75,9 @@ class TestC2:
         assert c2(0, 1, 1) == 0
 
     def test_matches_bruteforce_everywhere(self):
-        for r1 in range(26):
-            for r2 in range(r1 + 3):
-                for r3 in range(r1 + 3):
+        for r1 in range(-3, 26):
+            for r2 in range(-3, r1 + 3):
+                for r3 in range(-3, r1 + 3):
                     assert c2(r1, r2, r3) == c2_bruteforce(r1, r2, r3)
 
 
@@ -97,6 +97,11 @@ class TestConvolution:
             dim_by_convolution(4, 1, 2, 0)
         with pytest.raises(ValueError):
             dim_by_convolution(3, 2, 1, 0)
+        for index, named in (((4.0, 1, 1, 1), "m must be an int, got 4.0"),
+                             ((4, True, 1, 1), "k must be an int, got True"),
+                             ((4, 1, 1, 0.0), "n must be an int, got 0.0")):
+            with pytest.raises(ValueError, match=f"^index {named}$"):
+                dim_by_convolution(*index)
 
 
 class TestClosedForm:
@@ -124,6 +129,13 @@ class TestClosedForm:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             dim_closed_form(4, 1, 2, 0)
+        for index, named in (((True, 0, 0, 0), "m must be an int, got True"),
+                             ((4.0, 1, 1, 1), "m must be an int, got 4.0"),
+                             ((4, 1, 1.0, 1), "r must be an int, got 1.0")):
+            with pytest.raises(ValueError, match=f"^index {named}$"):
+                dim_closed_form(*index)
+        with pytest.raises(ValueError, match="^index m must be an int, got"):
+            polynomial_case(4.5, 1, 1, 1)
 
     def test_case_labels(self):
         assert polynomial_case(10, 4, 2, 1) == "I"
