@@ -25,7 +25,6 @@ from .core import (
     decomposition_total,
     irrep_dimension,
     parse_character,
-    weight_of_monomial,
 )
 from .dims import (
     c2,
@@ -67,5 +66,4 @@ __all__ = [
     "multiplicity_sym",
     "parse_character",
     "polynomial_case",
-    "weight_of_monomial",
 ]

@@ -15,7 +15,7 @@ from .characters import greedy_decompose
 from .core import parse_character
 from .dims import dim_weight, weight_dimensions
 from .multiplicity import decomposition_planes, multiplicity_sym
-from .oracle import check_cap
+from .oracle import ENUMERATION_CAP, check_cap
 from .verify import (
     VerificationError,
     check_c2,
@@ -151,7 +151,7 @@ def _cmd_greedy(args) -> int:
 def _cmd_verify(args) -> int:
     max_m = args.max_m
     if max_m is None:
-        max_m = 20 if args.mode == "extended" else 12
+        max_m = ENUMERATION_CAP if args.mode == "extended" else 12
     check_cap(max_m)
     check_c2(40)
     print("2x2 matrix counts: closed form == brute force for r1 <= 40")
@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-m", type=_nonneg, default=None,
         help="largest power for the character comparison "
-        "(default: 12 in ci mode, 20 in extended mode)",
+        f"(default: 12 in ci mode, {ENUMERATION_CAP} in extended mode)",
     )
     p.add_argument(
         "--mode", choices=("ci", "extended"), default="ci",

@@ -26,22 +26,6 @@ class CharacterFormatError(ValueError):
     """A character file violates the line format."""
 
 
-def weight_of_monomial(e: tuple[int, ...]) -> Weight:
-    """Weight of the monomial with exponents e = (a000, a001, ..., a111),
-    that of the basis vector x[i,j,l] at index 4i + 2j + l.
-
-    Each factor x[i,j,l] contributes (1-2i, 1-2j, 1-2l), so a degree-m
-    monomial has weight (m-2k, m-2r, m-2n) where k, r, n count the factors
-    with i = 1, j = 1, l = 1 respectively (with multiplicity).
-    """
-    a000, a001, a010, a011, a100, a101, a110, a111 = e
-    m = a000 + a001 + a010 + a011 + a100 + a101 + a110 + a111
-    k = a100 + a101 + a110 + a111
-    r = a010 + a011 + a110 + a111
-    n = a001 + a011 + a101 + a111
-    return (m - 2 * k, m - 2 * r, m - 2 * n)
-
-
 def check_counts(counts: Character | Decomposition) -> None:
     """Raise ValueError, naming the key and the value, unless every count
     is a positive int (bool excluded)."""

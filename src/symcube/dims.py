@@ -42,7 +42,10 @@ from .core import Weight, check_power, check_weight
 def c2(r1: int, r2: int, r3: int) -> int:
     """Number of 2x2 non-negative integer matrices with total r1,
     second-row sum r2 and second-column sum r3: zero unless
-    0 <= r2, r3 <= r1, else min(r2, r3, r1 - r2, r1 - r3) + 1."""
+    0 <= r2, r3 <= r1, else min(r2, r3, r1 - r2, r1 - r3) + 1.
+    Raises ValueError unless r1, r2, r3 are ints (bool excluded)."""
+    if not (type(r1) is type(r2) is type(r3) is int):
+        raise ValueError(f"c2 takes three ints, got {(r1, r2, r3)!r}")
     if not (0 <= r2 <= r1 and 0 <= r3 <= r1):
         return 0
     return min(r2, r3, r1 - r2, r1 - r3) + 1

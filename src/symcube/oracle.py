@@ -11,23 +11,23 @@ from operator import add
 
 from .core import Character, check_power
 
-DEFAULT_ENUMERATION_CAP = 20
+ENUMERATION_CAP = 20  # largest power enumerated: C(27, 7) = 888,030 monomials
 
 
 class OracleCapError(ValueError):
-    """Requested enumeration exceeds the configured cap."""
+    """Requested enumeration exceeds ENUMERATION_CAP."""
 
 
-def check_cap(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-    """Raise OracleCapError if m > cap, ValueError on a malformed m or cap."""
+def check_cap(m: int) -> None:
+    """Raise OracleCapError if m > ENUMERATION_CAP, ValueError on a
+    malformed m."""
     check_power(m)
-    if type(cap) is not int or cap < 0:
-        raise ValueError(f"cap must be a non-negative int, got {cap!r}")
-    if m > cap:
-        raise OracleCapError(f"oracle cap exceeded: m={m} > cap={cap}")
+    if m > ENUMERATION_CAP:
+        raise OracleCapError(
+            f"oracle cap exceeded: m={m} > cap={ENUMERATION_CAP}")
 
 
-def enumerate_character(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Character:
+def enumerate_character(m: int) -> Character:
     """Character of the m-th symmetric power by enumerating every monomial.
 
     Splitting a degree-m monomial in the factors x[i,j,l] by i is a
@@ -35,11 +35,12 @@ def enumerate_character(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Character
     i = 0 and a size-k one from the block i = 1, k in 0..m.  Coding
     x[i,j,l] as j*b + l with b = m + 1, a pair's code sum is r*b + n with
     r, n <= m < b its counts of factors with j = 1 and l = 1, so divmod
-    by b recovers them uniquely; the weight is (m-2k, m-2r, m-2n), as in
-    core.weight_of_monomial.  Each of the C(m+7, 7) pairs adds one to its
-    code's tally, with the sums and tallies done in C (itertools, Counter).
+    by b recovers them uniquely.  Each factor x[i,j,l] has weight
+    (1-2i, 1-2j, 1-2l), so the weight of the monomial is (m-2k, m-2r, m-2n).
+    Each of the C(m+7, 7) pairs adds one to its code's tally, with the sums
+    and tallies done in C (itertools, Counter).
     """
-    check_cap(m, cap)
+    check_cap(m)
     b = m + 1
     sums = [list(map(sum, combinations_with_replacement((0, 1, b, b + 1), s)))
             for s in range(m + 1)]  # code sums of the size-s multisets
@@ -54,7 +55,11 @@ def enumerate_character(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Character
 
 def c2_bruteforce(r1: int, r2: int, r3: int) -> int:
     """Count 2x2 non-negative integer matrices with total r1, second-row
-    sum r2 and second-column sum r3, by trying every bottom-right entry."""
+    sum r2 and second-column sum r3, by trying every bottom-right entry.
+    Raises ValueError unless r1, r2, r3 are ints (bool excluded)."""
+    if not (type(r1) is type(r2) is type(r3) is int):
+        raise ValueError(
+            f"c2_bruteforce takes three ints, got {(r1, r2, r3)!r}")
     count = 0
     for a22 in range(min(r2, r3) + 1):
         a21 = r2 - a22

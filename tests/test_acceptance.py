@@ -1,14 +1,11 @@
 """Acceptance suite.
 
 Every test prints one PASS/FAIL line (visible with ``pytest -s``) and
-enforces both an exact expected result and a wall-clock budget.  Set
-SYMCUBE_EXTENDED=1 to raise the enumeration sweep from m <= 12 to
-m <= 20.
+enforces both an exact expected result and a wall-clock budget.
 """
 
 import contextlib
 import io
-import os
 import random
 import time
 from collections import Counter
@@ -30,9 +27,6 @@ from symcube import (
 )
 from symcube.cli import main
 from symcube.verify import check_c2, check_characters, check_greedy
-
-EXTENDED = os.environ.get("SYMCUBE_EXTENDED") == "1"
-
 
 @contextlib.contextmanager
 def criterion(num: int, name: str, budget_s: float):
@@ -87,10 +81,9 @@ def test_criterion_2_trivial_module_pattern():
 
 
 def test_criterion_3_oracle_equivalence():
-    top, budget = (20, 300.0) if EXTENDED else (12, 10.0)
-    with criterion(3, f"monomial enumeration == closed forms for m <= {top}",
-                   budget):
-        assert check_characters(top) == top + 1
+    with criterion(3, "monomial enumeration == closed forms for m <= 12",
+                   10.0):
+        assert check_characters(12) == 13
 
 
 def test_criterion_4_closed_form_vs_convolution():

@@ -14,7 +14,6 @@ from symcube import (
     decomposition_total,
     irrep_dimension,
     parse_character,
-    weight_of_monomial,
 )
 from symcube.cli import main
 
@@ -22,26 +21,6 @@ weights = st.tuples(
     st.integers(-15, 15), st.integers(-15, 15), st.integers(-15, 15)
 )
 characters = st.dictionaries(weights, st.integers(1, 5), max_size=8)
-
-
-class TestWeightOfMonomial:
-    def test_pure_x000(self):
-        assert weight_of_monomial((5, 0, 0, 0, 0, 0, 0, 0)) == (5, 5, 5)
-
-    def test_pure_x111(self):
-        assert weight_of_monomial((0, 0, 0, 0, 0, 0, 0, 3)) == (-3, -3, -3)
-
-    def test_mixed_degree_two(self):
-        # x100 * x011: each index direction used exactly once
-        assert weight_of_monomial((0, 0, 0, 1, 1, 0, 0, 0)) == (0, 0, 0)
-
-    @given(st.tuples(*[st.integers(0, 9)] * 8))
-    def test_parity_and_range(self, e):
-        m = sum(e)
-        w = weight_of_monomial(e)
-        for comp in w:
-            assert -m <= comp <= m
-            assert (comp - m) % 2 == 0
 
 
 class TestCharacterArithmetic:

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import tracemalloc
 from itertools import permutations, product
 from math import comb
@@ -73,6 +74,12 @@ class TestC2:
         assert c2(3, 5, 0) == 0
         assert c2(3, 0, 5) == 0
         assert c2(0, 1, 1) == 0
+
+    def test_rejects_non_int(self):
+        for args in ((2.5, 1, 1), (True, True, 0), (1, 1, 1.0)):
+            for count in (c2, c2_bruteforce):
+                with pytest.raises(ValueError, match=re.escape(repr(args))):
+                    count(*args)
 
     def test_matches_bruteforce_everywhere(self):
         for r1 in range(-3, 26):
