@@ -11,29 +11,27 @@ and what is left there is the multiplicity of the irreducible with that
 highest weight: subtract that many copies of its character and move on.
 """
 
-from symcube import (
-    character_irrep,
-    character_symmetric_power,
-    character_total,
-    greedy_decompose,
-    irrep_dimension,
-)
+from symcube import character_irrep, character_symmetric_power, greedy_decompose
 from symcube.verify import check_greedy
 
 # Watch the sweep decompose S^3 by hand.
 character = character_symmetric_power(3)
 remainder = dict(character)
-left = character_total(character)
+left = sum(character.values())
 print("sweeping S^3 (dimension", left, "):")
 for top in sorted(character, reverse=True):
     x = remainder[top]
     if x:
         for w in character_irrep(top):
             remainder[w] -= x
-        left -= x * irrep_dimension(top)
+        n1, n2, n3 = top
+        left -= x * (n1 + 1) * (n2 + 1) * (n3 + 1)
         print(f"  reach {top}: multiplicity {x}, {left} dims left")
 
-# The library sweep does the same thing in one call.
+# The library gets the same answer in one call without peeling: each
+# multiplicity is the alternating sum of the character over the eight
+# corners top + {0, 2}^3.  It runs the peel only on an input that is not a
+# module character, to name the first weight left short.
 print("\ngreedy_decompose(ch S^3):", greedy_decompose(character))
 
 # Both decomposition routes agree on every symmetric power.

@@ -21,9 +21,6 @@ from .core import (
     Decomposition,
     IrrepLabel,
     Weight,
-    character_total,
-    decomposition_total,
-    irrep_dimension,
     parse_character,
 )
 from .dims import (
@@ -53,16 +50,13 @@ __all__ = [
     "c2_bruteforce",
     "character_irrep",
     "character_symmetric_power",
-    "character_total",
     "convolution_bruteforce",
     "decompose_symmetric_power",
-    "decomposition_total",
     "dim_by_convolution",
     "dim_closed_form",
     "dim_weight",
     "enumerate_character",
     "greedy_decompose",
-    "irrep_dimension",
     "multiplicity_sym",
     "parse_character",
     "polynomial_case",

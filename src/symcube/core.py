@@ -26,22 +26,6 @@ class CharacterFormatError(ValueError):
     """A character file violates the line format."""
 
 
-def check_counts(counts: Character | Decomposition) -> None:
-    """Raise ValueError, naming the key and the value, unless every count
-    is a positive int (bool excluded)."""
-    for key, count in counts.items():
-        if type(count) is not int or count <= 0:
-            raise ValueError(
-                f"counts must be positive ints, got {count!r} at {key}")
-
-
-def character_total(c: Character) -> int:
-    """Sum of all weight-space dimensions: the dimension of the module.
-    Raises ValueError on a dimension that is not a positive int."""
-    check_counts(c)
-    return sum(c.values())
-
-
 def check_power(m: int) -> None:
     """Raise ValueError unless m is a non-negative int (bool excluded)."""
     if type(m) is not int or m < 0:
@@ -60,20 +44,6 @@ def check_label(label: IrrepLabel) -> None:
     check_weight(label)
     if min(label) < 0:
         raise ValueError(f"highest weights must be non-negative, got {label}")
-
-
-def irrep_dimension(label: IrrepLabel) -> int:
-    """(n1+1)(n2+1)(n3+1), the dimension of the labeled irreducible."""
-    check_label(label)
-    n1, n2, n3 = label
-    return (n1 + 1) * (n2 + 1) * (n3 + 1)
-
-
-def decomposition_total(dec: Decomposition) -> int:
-    """Total dimension of a decomposition: sum of mult * irrep dimension.
-    Raises ValueError on a multiplicity that is not a positive int."""
-    check_counts(dec)
-    return sum(mult * irrep_dimension(label) for label, mult in dec.items())
 
 
 def parse_character(text: str) -> Character:

@@ -4,18 +4,17 @@ from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcube import (
     NotAModuleCharacterError,
     character_irrep,
     character_symmetric_power,
-    character_total,
     dim_weight,
     greedy_decompose,
-    irrep_dimension,
 )
+from symcube import characters
 
 labels = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 decompositions = st.dictionaries(labels, st.integers(1, 3), min_size=1, max_size=4)
@@ -26,6 +25,22 @@ def character_of_decomposition(dec):
     for label, mult in dec.items():
         total.update(dict.fromkeys(character_irrep(label), mult))
     return dict(total)
+
+
+@st.composite
+def altered_characters(draw):
+    """A module character with one weight moved by -1 or +1, or deleted."""
+    c = character_of_decomposition(draw(decompositions))
+    w = draw(st.sampled_from(sorted(c)))
+    c[w] += draw(st.sampled_from((-1, 1, -c[w])))
+    return {k: d for k, d in c.items() if d}
+
+
+peel_inputs = st.one_of(
+    decompositions.map(character_of_decomposition),
+    altered_characters(),
+    st.dictionaries(st.tuples(*[st.integers(-4, 4)] * 3), st.integers(1, 3)),
+)
 
 
 def sl2_factor(n, slot):
@@ -80,7 +95,8 @@ class TestIrrepCharacter:
     @given(st.tuples(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10)))
     def test_total_is_product_of_factor_dims(self, label):
         c = character_irrep(label)
-        assert character_total(c) == irrep_dimension(label)
+        n1, n2, n3 = label
+        assert sum(c.values()) == (n1 + 1) * (n2 + 1) * (n3 + 1)
         assert all(d == 1 for d in c.values())
 
     @given(labels)
@@ -100,12 +116,12 @@ class TestSymmetricPowerCharacter:
 
     def test_degree_two(self):
         c = character_symmetric_power(2)
-        assert character_total(c) == comb(9, 7) == 36
+        assert sum(c.values()) == comb(9, 7) == 36
         assert c[(0, 0, 0)] == 4
 
     @pytest.mark.parametrize("m", list(range(11)) + [25])
     def test_totals(self, m):
-        assert character_total(character_symmetric_power(m)) == comb(m + 7, 7)
+        assert sum(character_symmetric_power(m).values()) == comb(m + 7, 7)
 
     def test_matches_point_queries(self):
         # the table-built character against dim_weight, in the same
@@ -189,3 +205,21 @@ class TestGreedyDecompose:
         assert found == dec
         # the CLI renders in insertion order, without sorting
         assert list(found) == sorted(found, reverse=True)
+
+    @settings(max_examples=300)
+    @given(peel_inputs)
+    # complete sign orbits with unequal values: (1, 0, 0) is peeled twice
+    @example({(1, 0, 0): 2, (-1, 0, 0): 1, (0, 1, 0): 1, (0, -1, 0): 2})
+    # every corner sum on the support is >= 0, but x = -1 at (0, 0, 0)
+    @example({(2, 0, 0): 1, (-2, 0, 0): 1})
+    def test_corner_sums_agree_with_the_peel(self, c):
+        # the one-pass route accepts exactly the inputs the peel
+        # decomposes, and returns the peel's dict in the peel's order
+        try:
+            peeled = characters._peel(c)
+        except NotAModuleCharacterError:
+            peeled = None
+        found = characters._corner_decomposition(c)
+        assert found == peeled
+        if found is not None:
+            assert list(found) == list(peeled)

@@ -18,13 +18,23 @@ from symcube.verify import VerificationError, check_characters, check_dimensions
 FACTOR_WEIGHTS = list(product((1, -1), repeat=3))
 
 
+def exponents_up_to(m, parts):
+    """Every tuple of `parts` non-negative ints with sum <= m, once each."""
+    if not parts:
+        yield ()
+        return
+    for a in range(m + 1):
+        for rest in exponents_up_to(m - a, parts - 1):
+            yield (a, *rest)
+
+
 def character_by_definition(m):
     """Tally the weight of every exponent tuple of degree m, the sum of its
     factors' weights: seven free exponents, the eighth what is left of m."""
     return Counter(
         tuple(sum(a * w[c] for a, w in zip((m - sum(e), *e), FACTOR_WEIGHTS))
               for c in range(3))
-        for e in product(range(m + 1), repeat=7) if sum(e) <= m)
+        for e in exponents_up_to(m, 7))
 
 
 class TestEnumerateCharacter:
