@@ -4,14 +4,12 @@ Decomposing symmetric powers into irreducibles
 
 S^m(C2 (x) C2 (x) C2) is a completely reducible module over
 sl2(C) + sl2(C) + sl2(C), so it splits into irreducibles
-V(n1) (x) V(n2) (x) V(n3).  A whole table comes from the weight-space
-dimensions: the multiplicity of each label is an alternating sum of
-eight of them, taken for all labels at once as backward differences of
-the cube of dimensions at the dominant weights.  A single multiplicity
-needs no dimension at all: it counts the monomials of degree m in the
-six covariants f, B1, B2, B3, T and Delta (the hyperdeterminant) that
-have the label as highest weight and T-exponent 0 or 1.  The invariants,
-copies of the trivial module, are then the powers of Delta.
+V(n1) (x) V(n2) (x) V(n3).  A multiplicity needs no weight dimension at
+all: it counts the monomials of degree m in the six covariants f, B1,
+B2, B3, T and Delta (the hyperdeterminant) that have the label as
+highest weight and T-exponent 0 or 1.  A whole table runs that count at
+every label, one plane n1 at a time.  The invariants, copies of the
+trivial module, are then the powers of Delta.
 """
 
 from math import comb

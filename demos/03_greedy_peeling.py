@@ -34,9 +34,10 @@ for top in sorted(character, reverse=True):
 # module character, to name the first weight left short.
 print("\ngreedy_decompose(ch S^3):", greedy_decompose(character))
 
-# Both decomposition routes agree on every symmetric power.
+# Both decomposition routes agree on every symmetric power: the eight-corner
+# sums of the closed-form character and the count of covariant monomials.
 check_greedy(8)
-print("greedy == inclusion-exclusion for m <= 8")
+print("greedy == covariant count for m <= 8")
 
 # The sweep also detects inputs that are not module characters:
 # any module character has sign-symmetric weights, so a lone negative

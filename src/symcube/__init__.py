@@ -2,11 +2,10 @@
 irreducible modules of sl2(C) + sl2(C) + sl2(C).
 
 Weight-space dimensions come from closed-form quartic polynomials and an
-independent convolution identity.  Decomposition tables are backward
-differences of the cube of dimensions at the dominant weights; a single
-multiplicity is an O(1) count of covariant monomials that reads no
-dimension.  Every formula is cross-checked against brute-force monomial
-enumeration.  All arithmetic is exact (Python ints throughout).
+independent convolution identity.  Every multiplicity, alone or in a
+full decomposition table, is an O(1) count of covariant monomials that
+reads no dimension.  Every formula is cross-checked against brute-force
+monomial enumeration.  All arithmetic is exact (Python ints throughout).
 """
 
 from .characters import (

@@ -104,6 +104,8 @@ def _cmd_mult(args) -> int:
 def _cmd_decompose(args) -> int:
     m, want = args.m, comb(args.m + 7, 7)
     total = _render_decomposition(decomposition_planes(m), args.format, m=m)
+    # the rows are counts of covariant monomials, so this binomial shares
+    # no code with them
     if total != want:
         raise VerificationError(f"decomposition total_dim {total} != "
                                 f"C(m+7, 7) = {want} at m = {m}")
@@ -162,7 +164,7 @@ def _cmd_verify(args) -> int:
     print(f"characters: monomial enumeration == closed forms for m <= {max_m}")
     top = min(max_m, 10)
     check_greedy(top)
-    print(f"decompositions: greedy == inclusion-exclusion for m <= {top}")
+    print(f"decompositions: greedy == covariant count for m <= {top}")
     print("all checks passed")
     return 0
 

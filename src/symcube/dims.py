@@ -12,10 +12,9 @@ in the normalized position
 
 which normalized_index produces from an arbitrary weight: 23,426
 indices at m = 100, against (m+1)^3 = 1,030,301 weights.  A power's
-tables read one cube, dominant_dimensions(m), the dimensions at the
+character reads one cube, dominant_dimensions(m), the dimensions at the
 dominant weights, indexed by the co-indices (m - l) / 2 of the three
-components: the character mirrors each line of it to the negative
-components, and the decomposition takes its backward differences.
+components, and mirrors each line of it to the negative components.
 
 Two independent computations are provided:
 

@@ -53,11 +53,13 @@ def check_characters(top_m: int) -> int:
 
 
 def check_greedy(top_m: int) -> int:
-    """Greedy peel vs inclusion-exclusion decomposition of S^m, m <= top_m."""
+    """Greedy (eight-corner sums of the closed-form character) vs covariant
+    count decomposition of S^m, m <= top_m."""
     for m in range(top_m + 1):
         character = characters.character_symmetric_power(m)
         if characters.greedy_decompose(character) != \
                 multiplicity.decompose_symmetric_power(m):
-            raise VerificationError(f"greedy and inclusion-exclusion "
-                                    f"decompositions differ at m = {m}")
+            raise VerificationError(
+                f"greedy (eight-corner sums of the closed-form character) vs "
+                f"covariant count decompositions differ at m = {m}")
     return top_m + 1

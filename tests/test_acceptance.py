@@ -122,8 +122,8 @@ def test_criterion_6_dimension_checksums():
                 comb(m + 7, 7), m
 
 
-def test_criterion_7_greedy_matches_inclusion_exclusion():
-    with criterion(7, "greedy decomposition == inclusion-exclusion for "
+def test_criterion_7_greedy_matches_covariant_count():
+    with criterion(7, "greedy decomposition == covariant count for "
                       "m <= 10", 10.0):
         assert check_greedy(10) == 11
 

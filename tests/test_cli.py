@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from symcube import dims
+from symcube import cli, dims
 from symcube.cli import main
 
 
@@ -318,16 +318,29 @@ class TestDecomposeStreams:
             tracemalloc.stop()
         assert code == 0
         assert peak <= 1.5 * cube_peak, (peak, cube_peak)
+        # The count holds one plane of rows and reads no cube.  The first
+        # run also paid one-off costs of the process (argparse's lazy
+        # imports, CPython's tuple free lists, about 0.4 MB run alone),
+        # which were allocated before this trace starts.
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                main(["decompose", "100", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cube_peak / 4, (peak, cube_peak)
 
     def test_wrong_total_exits_3(self, monkeypatch):
-        real = dims.dominant_dimensions
+        real = cli.decomposition_planes
 
         def off_by_one(m):
-            cube = real(m)
-            cube[2][1][0] += 1
-            return cube
+            planes = list(real(m))
+            (label, x), *rest = planes[2]
+            planes[2] = [(label, x + 1), *rest]
+            return planes
 
-        monkeypatch.setattr(dims, "dominant_dimensions", off_by_one)
+        monkeypatch.setattr(cli, "decomposition_planes", off_by_one)
         code, _, err = run(["decompose", "12"])
         assert code == 3
         assert err.startswith("mismatch: decomposition total_dim ")
@@ -413,7 +426,7 @@ class TestVerify:
             "weight dimensions: closed form == convolution == pair "
             "enumeration for m <= 16 (825 indices)",
             "characters: monomial enumeration == closed forms for m <= 10",
-            "decompositions: greedy == inclusion-exclusion for m <= 10",
+            "decompositions: greedy == covariant count for m <= 10",
             "all checks passed",
         ]
 
@@ -437,7 +450,7 @@ class TestVerify:
             "weight dimensions: closed form == convolution == pair "
             "enumeration for m <= 16 (825 indices)\n"
             f"characters: monomial enumeration == closed forms for m <= {top}\n"
-            "decompositions: greedy == inclusion-exclusion for m <= 10\n"
+            "decompositions: greedy == covariant count for m <= 10\n"
             "all checks passed\n"), "")
 
     def test_max_m_beyond_the_oracle_cap_exits_2_at_once(self, monkeypatch):

@@ -1,6 +1,7 @@
 from collections import Counter
 from itertools import permutations
 from math import comb
+from operator import sub
 
 import pytest
 
@@ -10,8 +11,28 @@ from symcube import (
     decompose_symmetric_power,
     multiplicity_sym,
 )
-from symcube import dims
+from symcube import dims, multiplicity
 from symcube.multiplicity import decomposition_planes
+from symcube.verify import VerificationError, check_greedy
+
+
+def cube_differences(m):
+    """cube[i][j][l], the multiplicity of (m - 2i, m - 2j, m - 2l) in S^m:
+    the backward differences of dims.dominant_dimensions(m) along l, then
+    j, then i, with dimension 0 below co-index 0.  They take the
+    alternating sum over the eight corners w + {0, 2}^3 at every label at
+    once (Fulton and Harris, Representation Theory, section 11)."""
+    cube = dims.dominant_dimensions(m)
+    zero = [0] * len(cube)
+    out, below = [], [zero] * len(cube)  # the plane at co-index i - 1
+    for plane in cube:
+        d_l = [[row[0], *map(sub, row[1:], row)] for row in plane]
+        d_lj = [list(map(sub, row, prev))
+                for row, prev in zip(d_l, [zero, *d_l])]
+        out.append([list(map(sub, row, prev))
+                    for row, prev in zip(d_lj, below)])
+        below = d_lj
+    return out
 
 
 class TestMultiplicitySym:
@@ -57,6 +78,9 @@ class TestMultiplicitySym:
         for name in ("dim_weight", "dim_closed_form", "dominant_dimensions"):
             monkeypatch.setattr(dims, name, refuse)
         assert multiplicity_sym(40, (4, 8, 8)) == 3
+        dec = decompose_symmetric_power(40)
+        assert sum(x * (n1 + 1) * (n2 + 1) * (n3 + 1)
+                   for (n1, n2, n3), x in dec.items()) == comb(47, 7)
 
     def test_permutation_equivariance(self):
         for m in range(21):
@@ -112,16 +136,17 @@ class TestDecomposeSymmetricPower:
 
     @pytest.mark.parametrize("m", range(101))
     def test_matches_point_queries_at_benchmark_size(self, m):
-        # backward differences of the dimension cube against the count of
-        # covariant monomials, which reads no dimension, at every sorted
-        # label of every power up to the largest the benchmark decomposes
+        # the count of covariant monomials, which reads no dimension,
+        # against the backward differences of the dimension cube at every
+        # sorted label of every power up to the largest the benchmark
+        # decomposes
         dec = decompose_symmetric_power(m)
-        for n1 in range(m, -1, -2):
-            for n2 in range(n1, -1, -2):
-                for n3 in range(n2, -1, -2):
+        want = cube_differences(m)
+        for i, n1 in enumerate(range(m, -1, -2)):
+            for j, n2 in enumerate(range(n1, -1, -2), i):
+                for l, n3 in enumerate(range(n2, -1, -2), j):
                     label = (n1, n2, n3)
-                    want = multiplicity_sym(m, label)
-                    assert dec.get(label, 0) == want, label
+                    assert dec.get(label, 0) == want[i][j][l], label
 
 
 class TestDecompositionPlanes:
@@ -133,3 +158,19 @@ class TestDecompositionPlanes:
             row for rows in planes for row in rows]
         for n1, rows in zip(range(m, -1, -2), planes):
             assert all(label[0] == n1 for label, _ in rows)
+
+
+class TestCheckGreedy:
+    def test_detects_one_wrong_multiplicity_at_m_7(self, monkeypatch):
+        build = multiplicity.decompose_symmetric_power
+
+        def off_by_one(m):
+            dec = build(m)
+            if m == 7:
+                dec[(3, 3, 1)] += 1
+            return dec
+
+        monkeypatch.setattr(multiplicity, "decompose_symmetric_power",
+                            off_by_one)
+        with pytest.raises(VerificationError, match=r"at m = 7$"):
+            check_greedy(10)
