@@ -30,8 +30,7 @@ for top in sorted(character, reverse=True):
 
 # The library gets the same answer in one call without peeling: each
 # multiplicity is the alternating sum of the character over the eight
-# corners top + {0, 2}^3.  It runs the peel only on an input that is not a
-# module character, to name the first weight left short.
+# corners top + {0, 2}^3.
 print("\ngreedy_decompose(ch S^3):", greedy_decompose(character))
 
 # Both decomposition routes agree on every symmetric power: the eight-corner
@@ -39,9 +38,9 @@ print("\ngreedy_decompose(ch S^3):", greedy_decompose(character))
 check_greedy(8)
 print("greedy == covariant count for m <= 8")
 
-# The sweep also detects inputs that are not module characters:
-# any module character has sign-symmetric weights, so a lone negative
-# weight cannot be peeled.
+# The same pass rejects inputs that are not module characters and names
+# the fault: any module character has sign-symmetric weights, so a lone
+# negative weight lacks its image (2, 0, 0).
 try:
     greedy_decompose({(-2, 0, 0): 1})
 except ValueError as exc:

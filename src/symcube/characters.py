@@ -6,17 +6,15 @@ module therefore reduces to writing its character as a sum of
 irreducible characters.  The multiplicity of the irreducible with
 highest weight t is the alternating sum of the character over the eight
 corners t + {0, 2}^3 (Fulton and Harris, Representation Theory,
-section 11), so one pass over a module character decomposes it.  An input that is not a
-module character goes to the greedy peel, which names the first weight
-it leaves short: a sweep in descending lexicographic order, valid
-because every weight that dominates w (exceeds it by non-negative even
-amounts) is lexicographically greater than w.
+section 11), so one pass over a module character decomposes it.  The
+same pass rejects any other input and names its fault: the
+lexicographically largest weight whose dimension differs from that of
+its sign images, or else the largest label whose corner sum is negative.
 """
 
-from collections.abc import Iterator
-from itertools import product
+from itertools import chain, product
 
-from .core import (Character, Decomposition, IrrepLabel, Weight,
+from .core import (Character, Decomposition, IrrepLabel,
                    check_label, check_power, check_weight)
 from .dims import weight_dimensions
 
@@ -30,12 +28,7 @@ def character_irrep(label: IrrepLabel) -> Character:
     with wi in {ni, ni-2, ..., -ni}, every one of the (n1+1)(n2+1)(n3+1)
     weight spaces being 1-dimensional."""
     check_label(label)
-    return dict.fromkeys(_irrep_weights(label), 1)
-
-
-def _irrep_weights(label: IrrepLabel) -> Iterator[Weight]:
-    """The weights of the labeled irreducible, lazily, descending."""
-    return product(*(range(n, -n - 1, -2) for n in label))
+    return dict.fromkeys(product(*(range(n, -n - 1, -2) for n in label)), 1)
 
 
 def character_symmetric_power(m: int) -> Character:
@@ -69,14 +62,11 @@ def greedy_decompose(c: Character) -> Decomposition:
     x_t * ch V(t) with integer x_t, so (c) holds exactly when c is the
     character of a module, whose multiplicities the x_t then are.
 
-    Any other input goes to the greedy peel, which runs only to name the
-    fault: it sweeps the support in descending lexicographic order,
-    subtracts each irreducible weight by weight and stops at the first
-    short weight.  Raises ValueError on a key that is not a weight, and
-    its subclass NotAModuleCharacterError on an entry that is not a
-    positive int, on a weight with positive remainder and a negative
-    component (a module's highest weights are dominant) and on a
-    subtraction below zero.
+    Raises ValueError on a key that is not a weight, and its subclass
+    NotAModuleCharacterError on an entry that is not a positive int, on
+    a failure of (a) or (b), naming the lexicographically largest weight
+    w with c[w] != c[|w|], and on a failure of (c), naming the largest t
+    with x_t < 0.
     """
     for w, d in c.items():
         check_weight(w)
@@ -85,19 +75,23 @@ def greedy_decompose(c: Character) -> Decomposition:
                 f"not a module character: weight {w} has non-positive "
                 f"or non-integer dimension {d!r}"
             )
-    found = _corner_decomposition(c)
-    return _peel(c) if found is None else found
-
-
-def _corner_decomposition(c: Character) -> Decomposition | None:
-    """The corner-sum decomposition of c, or None if (a)-(c) fail."""
     dominant = {w: d for w, d in c.items() if min(w) >= 0}
-    if sum(c.values()) != sum(d << ((a > 0) + (b > 0) + (e > 0))
-                              for (a, b, e), d in dominant.items()):
-        return None
-    for (a, b, e), d in c.items():
-        if dominant.get((abs(a), abs(b), abs(e))) != d:
-            return None
+    orbit_total = sum(d << ((a > 0) + (b > 0) + (e > 0))
+                      for (a, b, e), d in dominant.items())
+    if sum(c.values()) != orbit_total or any(
+            dominant.get((abs(a), abs(b), abs(e))) != d
+            for (a, b, e), d in c.items()):
+        w = max(chain(
+            (w for w, d in c.items() if c.get(tuple(map(abs, w)), 0) != d),
+            (w for v in dominant
+             for w in product(*((n, -n) if n else (0,) for n in v))
+             if w not in c)))
+        v = tuple(map(abs, w))
+        raise NotAModuleCharacterError(
+            f"not a module character: weight {w} has dimension "
+            f"{c.get(w, 0)}, but {v}, the same weight up to signs, has "
+            f"{c.get(v, 0)}"
+        )
     x = dominant  # one backward difference per axis leaves the corner sums
     for i, j, k in ((2, 0, 0), (0, 2, 0), (0, 0, 2)):
         diff = dict(x)
@@ -107,31 +101,11 @@ def _corner_decomposition(c: Character) -> Decomposition | None:
                 diff[t] = diff.get(t, 0) - d
         x = diff
     if any(n < 0 for n in x.values()):
-        return None
+        t = max(t for t, n in x.items() if n < 0)
+        raise NotAModuleCharacterError(
+            f"not a module character: the irreducible with highest weight "
+            f"{t} would have multiplicity {x[t]}, the alternating sum over "
+            f"the eight corners {t} + {{0, 2}}^3"
+        )
     return dict(sorted(((t, n) for t, n in x.items() if n), reverse=True))
 
-
-def _peel(c: Character) -> Decomposition:
-    """The greedy sweep of greedy_decompose over validated entries."""
-    remainder = dict(c)
-    found: Decomposition = {}
-    for top in sorted(c, reverse=True):
-        x = remainder[top]
-        if not x:
-            continue
-        if min(top) < 0:
-            raise NotAModuleCharacterError(
-                f"not a module character: maximal weight {top} "
-                f"has a negative component"
-            )
-        for w in _irrep_weights(top):
-            have = remainder.get(w, 0)
-            if have < x:
-                raise NotAModuleCharacterError(
-                    f"not a module character: the irreducible with highest "
-                    f"weight {top} has multiplicity {x}, but weight {w} has "
-                    f"only {have} left"
-                )
-            remainder[w] = have - x
-        found[top] = x
-    return found

@@ -1,7 +1,11 @@
 import re
+import time
 import tracemalloc
+from ast import literal_eval
 from collections import Counter
+from itertools import product
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +18,6 @@ from symcube import (
     dim_weight,
     greedy_decompose,
 )
-from symcube import characters
 
 labels = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 decompositions = st.dictionaries(labels, st.integers(1, 3), min_size=1, max_size=4)
@@ -41,6 +44,46 @@ peel_inputs = st.one_of(
     altered_characters(),
     st.dictionaries(st.tuples(*[st.integers(-4, 4)] * 3), st.integers(1, 3)),
 )
+
+
+def peel(c):
+    """The greedy sweep, the reference greedy_decompose must agree with:
+    a weight that dominates w is lexicographically greater, so the
+    remainder at each weight reached in descending order is the
+    multiplicity of the irreducible with that highest weight."""
+    remainder = dict(c)
+    found = {}
+    for top in sorted(c, reverse=True):
+        x = remainder[top]
+        if not x:
+            continue
+        if min(top) < 0:
+            raise NotAModuleCharacterError(
+                f"not a module character: maximal weight {top} "
+                f"has a negative component"
+            )
+        for w in product(*(range(n, -n - 1, -2) for n in top)):
+            have = remainder.get(w, 0)
+            if have < x:
+                raise NotAModuleCharacterError(
+                    f"not a module character: the irreducible with highest "
+                    f"weight {top} has multiplicity {x}, but weight {w} has "
+                    f"only {have} left"
+                )
+            remainder[w] = have - x
+        found[top] = x
+    return found
+
+
+def corner_sum(c, t):
+    """The alternating sum of c over the eight corners t + {0, 2}^3."""
+    return sum((-1) ** (len(s) - s.count(0)) * c.get(tuple(map(add, t, s)), 0)
+               for s in product((0, 2), repeat=3))
+
+
+def sign_images(w):
+    """Every weight that equals w up to the signs of its components."""
+    return set(product(*((n, -n) for n in w)))
 
 
 def sl2_factor(n, slot):
@@ -139,8 +182,9 @@ class TestGreedyDecompose:
            st.tuples(*[st.integers(0, 6)] * 3))
     def test_dominating_weights_are_lexicographically_greater(self, w, step1,
                                                               step2):
-        # the sweep order relies on it: a weight that exceeds w by
-        # non-negative even amounts comes before w in descending order
+        # the reference peel's sweep order relies on it: a weight that
+        # exceeds w by non-negative even amounts comes before w in
+        # descending order
         mid = tuple(a + 2 * s for a, s in zip(w, step1))
         top = tuple(a + 2 * s for a, s in zip(mid, step2))
         assert w <= mid <= top
@@ -162,26 +206,54 @@ class TestGreedyDecompose:
             greedy_decompose({(-2, 0, 0): 1})
 
     def test_subtraction_underflow_rejected(self):
-        # top weight (2,0,0) forces subtracting a 3-dimensional character,
-        # but weight (0,0,0) is missing
+        # V(2) (x) V(0) (x) V(0) is all the top weight (2,0,0) allows, and
+        # it needs weight (0,0,0), which is missing: the corner sum there
+        # is 0 - 1 = -1
         with pytest.raises(NotAModuleCharacterError, match=r"\(0, 0, 0\)"):
             greedy_decompose({(2, 0, 0): 1, (-2, 0, 0): 1})
-        # two copies of V(2) (x) V(0) (x) V(0) need (0,0,0) twice
+        # two copies of V(2) (x) V(0) (x) V(0) need (0,0,0) twice: 1 - 2
         with pytest.raises(NotAModuleCharacterError, match=r"\(0, 0, 0\)"):
             greedy_decompose({(2, 0, 0): 2, (0, 0, 0): 1, (-2, 0, 0): 2})
 
     def test_short_weight_rejected_without_building_the_irreducible(self):
-        # the peel meets (60, 60, 58) short after one weight; building the
-        # 226,981 weights of V(60) (x) V(60) (x) V(60) first takes tens of MB
+        # (60, 60, -60) is the largest sign image of (60, 60, 60) that the
+        # input lacks; building the 226,981 weights of
+        # V(60) (x) V(60) (x) V(60) first takes tens of MB
         tracemalloc.start()
         try:
             with pytest.raises(NotAModuleCharacterError,
-                               match=r"weight \(60, 60, 58\) has only 0 left"):
+                               match=r"weight \(60, 60, -60\) has dimension 0, "
+                                     r"but \(60, 60, 60\)"):
                 greedy_decompose({(0, 0, 0): 1, (60, 60, 60): 1})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, peak
+
+    @pytest.mark.parametrize("c,message", [
+        ({(-2, 0, 0): 1}, "weight (-2, 0, 0) has dimension 1, but (2, 0, 0), "
+         "the same weight up to signs, has 0"),
+        ({(2, 0, 0): 1, (-2, 0, 0): 1}, "the irreducible with highest weight "
+         "(0, 0, 0) would have multiplicity -1, the alternating sum over the "
+         "eight corners (0, 0, 0) + {0, 2}^3"),
+        ({(0, 0, 1): 1}, "weight (0, 0, -1) has dimension 0, but (0, 0, 1), "
+         "the same weight up to signs, has 1"),
+    ])
+    def test_fault_message(self, c, message):
+        with pytest.raises(NotAModuleCharacterError) as info:
+            greedy_decompose(c)
+        assert str(info.value) == "not a module character: " + message
+
+    def test_corrupted_large_power_rejected_fast(self):
+        # naming the fault costs one pass over the input, as acceptance does
+        c = character_symmetric_power(40)
+        c[(2, 0, -4)] += 1
+        start = time.perf_counter()
+        with pytest.raises(NotAModuleCharacterError,
+                           match=r"weight \(2, 0, -4\) has dimension 9261, "
+                                 r"but \(2, 0, 4\)"):
+            greedy_decompose(c)
+        assert time.perf_counter() - start < 2
 
     def test_non_positive_entry_rejected(self):
         for c in ({(1, 1, 1): 0},
@@ -213,13 +285,55 @@ class TestGreedyDecompose:
     # every corner sum on the support is >= 0, but x = -1 at (0, 0, 0)
     @example({(2, 0, 0): 1, (-2, 0, 0): 1})
     def test_corner_sums_agree_with_the_peel(self, c):
-        # the one-pass route accepts exactly the inputs the peel
-        # decomposes, and returns the peel's dict in the peel's order
+        # the corner sums accept exactly the inputs the peel decomposes,
+        # and return the peel's dict in the peel's order
         try:
-            peeled = characters._peel(c)
+            peeled = peel(c)
         except NotAModuleCharacterError:
-            peeled = None
-        found = characters._corner_decomposition(c)
-        assert found == peeled
-        if found is not None:
+            with pytest.raises(NotAModuleCharacterError):
+                greedy_decompose(c)
+        else:
+            found = greedy_decompose(c)
+            assert found == peeled
             assert list(found) == list(peeled)
+
+    @settings(max_examples=300)
+    @given(peel_inputs)
+    # the sign orbit of (2, 2, 0) alone: corner sums -1 at (2, 0, 0) and
+    # at (0, 2, 0)
+    @example({(2, 2, 0): 1, (2, -2, 0): 1, (-2, 2, 0): 1, (-2, -2, 0): 1})
+    def test_named_fault_is_real_and_largest(self, c):
+        # every weight with a fault is a sign image of a weight of c, and
+        # every t with a non-zero corner sum is dominant and has a weight
+        # of c among its corners, so it lies in w - {0, 2}^3 for a
+        # dominant weight w of c
+        images = set().union(*map(sign_images, c))
+        asymmetric = [w for w in images
+                      if c.get(w, 0) != c.get(tuple(map(abs, w)), 0)]
+        tops = {t for w in c if min(w) >= 0
+                for t in product(*((n, n - 2) for n in w)) if min(t) >= 0}
+        negative = [t for t in tops if corner_sum(c, t) < 0]
+        try:
+            greedy_decompose(c)
+        except NotAModuleCharacterError as exc:
+            message = str(exc)
+        else:
+            assert not asymmetric and not negative
+            return
+        found = re.search(r"weight (\(.*?\)) (has dimension|would have)",
+                          message)
+        w = literal_eval(found[1])
+        if found[2] == "has dimension":
+            v = tuple(map(abs, w))
+            assert message == (
+                f"not a module character: weight {w} has dimension "
+                f"{c.get(w, 0)}, but {v}, the same weight up to signs, has "
+                f"{c.get(v, 0)}")
+            assert w == max(asymmetric)
+        else:
+            assert not asymmetric
+            assert message == (
+                f"not a module character: the irreducible with highest "
+                f"weight {w} would have multiplicity {corner_sum(c, w)}, the "
+                f"alternating sum over the eight corners {w} + {{0, 2}}^3")
+            assert w == max(negative)

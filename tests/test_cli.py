@@ -387,14 +387,14 @@ class TestGreedy:
         assert "not a module character" in err
 
     def test_large_short_irreducible_exits_2(self, tmp_path):
-        # rejected at its second weight, without the 3.4 M weights of
-        # V(150) (x) V(150) (x) V(150)
+        # rejected by the sign images of (150, 150, 150), without the
+        # 3.4 M weights of V(150) (x) V(150) (x) V(150)
         path = tmp_path / "short.char"
         path.write_text("0 0 0 1\n150 150 150 1\n")
         assert run(["greedy", str(path)]) == (
-            2, "", "error: not a module character: the irreducible with "
-            "highest weight (150, 150, 150) has multiplicity 1, but weight "
-            "(150, 150, 148) has only 0 left\n")
+            2, "", "error: not a module character: weight (150, 150, -150) "
+            "has dimension 0, but (150, 150, 150), the same weight up to "
+            "signs, has 1\n")
 
     def test_malformed_file_exits_2(self, tmp_path):
         path = tmp_path / "malformed.char"
