@@ -12,9 +12,11 @@ in the normalized position
 
 which normalized_index produces from an arbitrary weight: 23,426
 indices at m = 100, against (m+1)^3 = 1,030,301 weights.  A power's
-character reads one cube, dominant_dimensions(m), the dimensions at the
-dominant weights, indexed by the co-indices (m - l) / 2 of the three
-components, and mirrors each line of it to the negative components.
+character, weight_dimensions(m), holds the dimensions at the dominant
+weights once per unordered pair of the co-indices (m - l) / 2 of the
+first two components: 1,326 rows of 51 values at m = 100, against the
+132,651 values of the full cube.  It mirrors each row to the negative
+components as it yields it.
 
 Two independent computations are provided:
 
@@ -181,48 +183,33 @@ def normalized_index(m: int, w: Weight) -> tuple[int, int, int] | None:
     return (m - a1) // 2, (m - a2) // 2, (m - a3) // 2
 
 
-def dominant_dimensions(m: int) -> list[list[list[int]]]:
-    """The cube cube[i][j][l] = C(m; sorted((i, j, l), reverse=True)) for
-    i, j, l in [0, m/2]: the dimensions of S^m at the dominant weights
-    (m - 2i, m - 2j, m - 2l).
-
-    Each normalized line (k, r) is evaluated once and copied to the
-    other positions of its orbit.  Built per call and owned by the
-    caller, so nothing outlives the computation that needs it.
-    """
-    check_power(m)
-    span = range(m // 2 + 1)
-    # table[k][r][n] at the normalized indices k >= r >= n
-    table = [[_line_dimensions(m, k, r, 0, r) for r in range(k + 1)]
-             for k in span]
-    cube = [[[] for _ in span] for _ in span]
-    for i in span:
-        for j in range(i + 1):
-            # (i, j, l) sorted descending, for l <= j, j < l <= i, l > i
-            row = (table[i][j]
-                   + [table[i][l][j] for l in range(j + 1, i + 1)]
-                   + [table[l][i][j] for l in range(i + 1, len(span))])
-            cube[i][j], cube[j][i] = row, row[:]
-    return cube
-
-
 def weight_dimensions(m: int) -> Iterator[tuple[int, int, list[int]]]:
-    """The dimensions of S^m at all (m+1)^3 weights, mirrored from one
-    dominant_dimensions(m) cube, one line (l1, l2, *) of the weight cube
-    at a time.
+    """The dimensions of S^m at all (m+1)^3 weights, one line (l1, l2, *)
+    of the weight cube at a time.
 
     Yields (l1, l2, dims) for l1, l2 = m, m - 2, ..., -m in that order;
     dims[i] is the dimension at the weight (l1, l2, m - 2i), so the
     weights come in descending lexicographic order.  Every dimension is
     positive.
     """
-    cube = dominant_dimensions(m)
+    check_power(m)
+    span = range(m // 2 + 1)
+    # rows[i][j], i >= j: C(m; sorted((i, j, l), reverse=True)) for l in
+    # span.  With i and j running downward, the positions j < l <= i and
+    # l > i read rows already built, so each normalized line is evaluated
+    # once.
+    rows: list[list[list[int]]] = [[[] for _ in range(i + 1)] for i in span]
+    for i in reversed(span):
+        for j in reversed(range(i + 1)):
+            rows[i][j] = (_line_dimensions(m, i, j, 0, j)
+                          + [rows[i][l][j] for l in range(j + 1, i + 1)]
+                          + [rows[l][i][j] for l in range(i + 1, len(span))])
     # co-index (m - |m - 2i|) / 2 of the component m - 2i
     fold = [min(i, m - i) for i in range(m + 1)]
     values = range(m, -m - 1, -2)
     for l1, a in zip(values, fold):
         for l2, b in zip(values, fold):
-            row = cube[a][b]
+            row = rows[a][b] if a >= b else rows[b][a]
             # the negative components m - 2i, i > m/2, mirror the positive
             yield l1, l2, row + row[:m - m // 2][::-1]
 
@@ -234,7 +221,7 @@ def dim_weight(m: int, w: Weight) -> int:
     different from m.  Invariant under permuting components and flipping
     their signs; the implementation uses both symmetries to reach the
     normalized index and evaluates dim_closed_form there.  A point query:
-    tables over all weights of a power read dominant_dimensions instead.
+    tables over all weights of a power read weight_dimensions instead.
     """
     check_power(m)
     check_weight(w)

@@ -9,6 +9,7 @@ import pytest
 
 from symcube import cli, dims
 from symcube.cli import main
+from symcube.core import check_power
 
 
 def run(argv):
@@ -302,13 +303,38 @@ class _Discard:
         return len(text)
 
 
+def dominant_dimensions(m: int) -> list[list[list[int]]]:
+    """The cube cube[i][j][l] = C(m; sorted((i, j, l), reverse=True)) for
+    i, j, l in [0, m/2]: the dimensions of S^m at the dominant weights
+    (m - 2i, m - 2j, m - 2l).
+
+    The memory yardstick of the tables: the full cube that the character
+    of S^m was once mirrored from, with a normalized table beside it and
+    every row stored twice.
+    """
+    check_power(m)
+    span = range(m // 2 + 1)
+    # table[k][r][n] at the normalized indices k >= r >= n
+    table = [[dims._line_dimensions(m, k, r, 0, r) for r in range(k + 1)]
+             for k in span]
+    cube = [[[] for _ in span] for _ in span]
+    for i in span:
+        for j in range(i + 1):
+            # (i, j, l) sorted descending, for l <= j, j < l <= i, l > i
+            row = (table[i][j]
+                   + [table[i][l][j] for l in range(j + 1, i + 1)]
+                   + [table[l][i][j] for l in range(i + 1, len(span))])
+            cube[i][j], cube[j][i] = row, row[:]
+    return cube
+
+
 class TestDecomposeStreams:
     def test_holds_no_more_than_the_cube(self):
         # the table of S^100 has 64,476 rows; rendering them from one dict
         # peaked at about 7 times the dimension cube
         tracemalloc.start()
         try:
-            dims.dominant_dimensions(100)
+            dominant_dimensions(100)
             cube_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             with contextlib.redirect_stdout(_Discard()):
@@ -345,6 +371,32 @@ class TestDecomposeStreams:
         assert code == 3
         assert err.startswith("mismatch: decomposition total_dim ")
         assert err.endswith(f"!= C(m+7, 7) = {comb(19, 7)} at m = 12\n")
+
+
+class TestCharacterRows:
+    def test_holds_less_than_the_cube(self):
+        # The character keeps each dominant row (i, j), i >= j, once:
+        # 1,326 rows of 51 values at m = 100, against the cube's 132,651
+        # values.  The untraced warm-up pays the process's one-off costs.
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(["character", "100"]) == 0
+        tracemalloc.start()
+        try:
+            dominant_dimensions(100)
+            cube_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with contextlib.redirect_stdout(_Discard()):
+                code = main(["character", "100"])
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            for _ in dims.weight_dimensions(100):
+                pass
+            sweep_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 0.85 * cube_peak, (peak, cube_peak)
+        assert sweep_peak < 0.7 * cube_peak, (sweep_peak, cube_peak)
 
 
 class TestCharacter:

@@ -174,17 +174,31 @@ class TestClosedForm:
         with pytest.raises(ArithmeticError,
                            match=r"m=10, k=3, r=3, n=2 \(case II.1\)"):
             dim_closed_form(10, 3, 3, 2)
-        with pytest.raises(ArithmeticError, match=r"\(case II.[12]\)"):
-            dims.dominant_dimensions(10)
+        # The table names the first index it evaluates, whichever case of
+        # II or III (regime III reads the regime II coefficients) that is.
+        with pytest.raises(ArithmeticError) as info:
+            next(dims.weight_dimensions(10))
+        found = re.fullmatch(
+            r"scaled polynomial not divisible by 48 at m=(\d+), k=(\d+), "
+            r"r=(\d+), n=(\d+) \(case (\S+)\): coefficient table "
+            r"transcription defect", str(info.value))
+        assert found, str(info.value)
+        index = tuple(map(int, found.groups()[:4]))
+        assert index[0] == 10
+        assert found[5] == polynomial_case(*index)
+        assert found[5].startswith(("II.", "III."))
 
 
 class TestDominantDimensions:
     @pytest.mark.parametrize("m", list(range(31)) + [99, 100, 101])
     def test_matches_closed_form(self, m):
+        # the lines with l1, l2 >= 0, cut to l3 >= 0: the dominant weights
         span = range(m // 2 + 1)
-        assert dims.dominant_dimensions(m) == [
-            [[dim_closed_form(m, *sorted((i, j, l), reverse=True))
-              for l in span] for j in span] for i in span]
+        assert [line[:len(span)]
+                for l1, l2, line in dims.weight_dimensions(m)
+                if l1 >= 0 and l2 >= 0] == [
+            [dim_closed_form(m, *sorted((i, j, l), reverse=True))
+             for l in span] for i in span for j in span]
 
 
 class TestDimWeight:

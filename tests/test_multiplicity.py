@@ -18,11 +18,16 @@ from symcube.verify import VerificationError, check_greedy
 
 def cube_differences(m):
     """cube[i][j][l], the multiplicity of (m - 2i, m - 2j, m - 2l) in S^m:
-    the backward differences of dims.dominant_dimensions(m) along l, then
-    j, then i, with dimension 0 below co-index 0.  They take the
-    alternating sum over the eight corners w + {0, 2}^3 at every label at
-    once (Fulton and Harris, Representation Theory, section 11)."""
-    cube = dims.dominant_dimensions(m)
+    the backward differences along l, then j, then i of the dimensions
+    at the dominant weights, with dimension 0 below co-index 0.  They take
+    the alternating sum over the eight corners w + {0, 2}^3 at every label
+    at once (Fulton and Harris, Representation Theory, section 11).  The
+    dimensions are the lines of dims.weight_dimensions(m) with l1, l2 >= 0,
+    cut to l3 >= 0: the closed form, not the count."""
+    half = m // 2 + 1
+    lines = [line[:half] for l1, l2, line in dims.weight_dimensions(m)
+             if l1 >= 0 and l2 >= 0]
+    cube = [lines[i * half:(i + 1) * half] for i in range(half)]
     zero = [0] * len(cube)
     out, below = [], [zero] * len(cube)  # the plane at co-index i - 1
     for plane in cube:
@@ -75,7 +80,8 @@ class TestMultiplicitySym:
         def refuse(*args):
             raise AssertionError("the count read a weight dimension")
 
-        for name in ("dim_weight", "dim_closed_form", "dominant_dimensions"):
+        for name in ("dim_weight", "dim_closed_form", "weight_dimensions",
+                     "_line_dimensions"):
             monkeypatch.setattr(dims, name, refuse)
         assert multiplicity_sym(40, (4, 8, 8)) == 3
         dec = decompose_symmetric_power(40)

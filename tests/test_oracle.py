@@ -71,7 +71,8 @@ class TestEnumerateCharacter:
             raise AssertionError("the oracle called a formula")
 
         for module, name in ((dims, "dim_closed_form"),
-                             (dims, "dominant_dimensions"),
+                             (dims, "weight_dimensions"),
+                             (dims, "_line_dimensions"),
                              (characters, "character_symmetric_power")):
             monkeypatch.setattr(module, name, refuse)
         assert sum(enumerate_character(10).values()) == comb(17, 7)
