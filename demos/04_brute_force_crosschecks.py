@@ -18,17 +18,20 @@ from symcube import (
 from symcube.verify import check_characters
 
 # 2x2 contingency matrices: count matrices with a given total, second-row
-# sum and second-column sum.  The closed form is min(r2, r3, r1-r2, r1-r3)+1.
+# sum and second-column sum.  The closed form is min(r2, r3, r1-r2, r1-r3)+1;
+# the oracle visits every matrix of total r1 once and tallies its margins
+# into a table indexed by (r2, r3).
 print("2x2 counts (closed vs enumerated):")
-for args in [(5, 2, 3), (2, 1, 1), (4, 2, 2), (9, 4, 7)]:
-    print(f"  c2{args} = {c2(*args)} / {c2_bruteforce(*args)}")
+for r1, r2, r3 in [(5, 2, 3), (2, 1, 1), (4, 2, 2), (9, 4, 7)]:
+    print(f"  c2{r1, r2, r3} = {c2(r1, r2, r3)} / "
+          f"{c2_bruteforce(r1)[r2][r3]}")
 
 # A plausible-looking variant of that formula, with r2 - r3 as the last
 # argument of the min, is refuted by a single enumeration:
 r1, r2, r3 = 5, 2, 3
 variant = min(r2, r3, r1 - r2, r2 - r3) + 1
 print(f"  variant min(r2, r3, r1-r2, r2-r3)+1 at (5,2,3) gives {variant}, "
-      f"enumeration gives {c2_bruteforce(r1, r2, r3)}")
+      f"enumeration gives {c2_bruteforce(r1)[r2][r3]}")
 
 # Weight dimensions three ways: quartic polynomial, convolution of 2x2
 # counts, and raw enumeration of exponent-block pairs.

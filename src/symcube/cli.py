@@ -6,7 +6,6 @@ character input and the like), 3 verification mismatch.
 """
 
 import argparse
-import json
 import sys
 from math import comb
 from operator import add
@@ -80,7 +79,9 @@ def _render_decomposition(planes, fmt: str, m: int | None = None) -> int:
 
 def _print_scalar(args, key, triple, columns, field, value) -> None:
     if args.format == "json":
-        print(json.dumps({"m": args.m, key: list(triple), field: value}))
+        # byte for byte json.dumps({"m": m, key: [a, b, c], field: value})
+        print('{"m": %d, "%s": [%d, %d, %d], "%s": %d}'
+              % (args.m, key, *triple, field, value))
     elif args.format == "csv":
         print(f"m,{columns},{field}")
         print(",".join(str(v) for v in (args.m, *triple, value)))

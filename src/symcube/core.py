@@ -57,7 +57,7 @@ def parse_character(text: str) -> Character:
     entries: Character = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if "_" in line or not line.isascii():
             raise CharacterFormatError(
@@ -68,7 +68,7 @@ def parse_character(text: str) -> Character:
                 f"line {lineno}: expected 'l1 l2 l3 dim', got {raw!r}"
             )
         try:
-            l1, l2, l3, dim = (int(f) for f in fields)
+            l1, l2, l3, dim = map(int, fields)
         except ValueError:
             raise CharacterFormatError(
                 f"line {lineno}: non-integer field in {raw!r}"

@@ -53,14 +53,15 @@ def c2(r1: int, r2: int, r3: int) -> int:
 
 
 def _check_normalized(m: int, k: int, r: int, n: int) -> None:
+    if (type(m) is type(k) is type(r) is type(n) is int
+            and 0 <= n <= r <= k and 2 * k <= m):
+        return
     for name, value in zip("mkrn", (m, k, r, n)):
         if type(value) is not int:
             raise ValueError(f"index {name} must be an int, got {value!r}")
-    if not (0 <= n <= r <= k and 2 * k <= m):
-        raise ValueError(
-            f"index not normalized: need m/2 >= k >= r >= n >= 0, "
-            f"got m={m}, k={k}, r={r}, n={n}"
-        )
+    raise ValueError(
+        f"index not normalized: need m/2 >= k >= r >= n >= 0, "
+        f"got m={m}, k={k}, r={r}, n={n}")
 
 
 def dim_by_convolution(m: int, k: int, r: int, n: int) -> int:
@@ -115,22 +116,25 @@ def _line_dimensions(m: int, k: int, r: int, lo: int, hi: int) -> list[int]:
 
     With d = k - r and e = m - k - r, regime I holds for n <= d, II for
     d < n < e and III for n >= max(e, d + 1); the constant term follows
-    the parity of r + n - k = n - d.
+    the parity of r + n - k = n - d.  Only the regimes that hold some n
+    in [lo, hi] are visited, each computing its coefficients once, so a
+    point (lo = hi) costs one regime choice and one Horner step.
     """
     d, e = k - r, m - k - r
-    regimes = ((lo, d + 1, _coeffs_low, (48, 48)),
-               (d + 1, e, _coeffs_mid, (48, 45)),
-               (max(d + 1, e), hi + 1, _coeffs_high,
-                (45, 45) if m % 2 else (48, 42)))
     values = []
-    for start, stop, coeffs, constants in regimes:
-        ns = range(max(lo, start), min(hi + 1, stop))
-        if not ns:
-            continue
-        c0, c1, c2, c3, c4 = coeffs(m, k, r)
+    while lo <= hi:  # pick the regime that holds lo, and where it stops
+        if lo <= d:
+            coeffs, constants, stop = _coeffs_low, (48, 48), d + 1
+        elif lo < e:
+            coeffs, constants, stop = _coeffs_mid, (48, 45), e
+        else:  # n <= m/2 < m + 1 on every line
+            coeffs, constants, stop = _coeffs_high, (45, 45), m + 1
+            if m % 2 == 0:
+                constants = (48, 42)
         if d % 2:  # listed by the parity of n - d, read by that of n
             constants = constants[::-1]
-        for n in ns:
+        c0, c1, c2, c3, c4 = coeffs(m, k, r)
+        for n in range(lo, min(hi + 1, stop)):
             value, rem = divmod((((c4 * n + c3) * n + c2) * n + c1) * n
                                 + c0 + constants[n & 1], 48)
             if rem:
@@ -139,6 +143,7 @@ def _line_dimensions(m: int, k: int, r: int, lo: int, hi: int) -> list[int]:
                     f"r={r}, n={n} (case {polynomial_case(m, k, r, n)}): "
                     f"coefficient table transcription defect")
             values.append(value)
+        lo = n + 1
     return values
 
 

@@ -53,21 +53,21 @@ def enumerate_character(m: int) -> Character:
     return tally
 
 
-def c2_bruteforce(r1: int, r2: int, r3: int) -> int:
-    """Count 2x2 non-negative integer matrices with total r1, second-row
-    sum r2 and second-column sum r3, by trying every bottom-right entry.
-    Raises ValueError unless r1, r2, r3 are ints (bool excluded)."""
-    if not (type(r1) is type(r2) is type(r3) is int):
-        raise ValueError(
-            f"c2_bruteforce takes three ints, got {(r1, r2, r3)!r}")
-    count = 0
-    for a22 in range(min(r2, r3) + 1):
-        a21 = r2 - a22
-        a12 = r3 - a22
-        a11 = r1 - a12 - a21 - a22
-        if a21 >= 0 and a12 >= 0 and a11 >= 0:
-            count += 1
-    return count
+def c2_bruteforce(r1: int) -> list[list[int]]:
+    """counts[r2][r3], 0 <= r2, r3 <= r1: the number of 2x2 non-negative
+    integer matrices with total r1, second-row sum r2 and second-column
+    sum r3.  Each matrix (a11, a12, a21, a22) adds one at its margins
+    (a21 + a22, a12 + a22).  [] for r1 < 0; ValueError unless r1 is an int
+    (bool excluded)."""
+    if type(r1) is not int:
+        raise ValueError(f"c2_bruteforce takes an int, got {r1!r}")
+    counts = [[0] * (r1 + 1) for _ in range(r1 + 1)]
+    for a22 in range(r1 + 1):
+        for a21 in range(r1 - a22 + 1):
+            row = counts[a21 + a22]
+            for a12 in range(r1 - a22 - a21 + 1):  # a11 takes the rest
+                row[a12 + a22] += 1
+    return counts
 
 
 def convolution_bruteforce(m: int, k: int, r: int, n: int) -> int:

@@ -14,9 +14,9 @@ def check_c2(top_r1: int) -> int:
     """c2 vs brute force for every 0 <= r2, r3 <= r1 <= top_r1."""
     cases = 0
     for r1 in range(top_r1 + 1):
-        for r2 in range(r1 + 1):
-            for r3 in range(r1 + 1):
-                if dims.c2(r1, r2, r3) != oracle.c2_bruteforce(r1, r2, r3):
+        for r2, row in enumerate(oracle.c2_bruteforce(r1)):
+            for r3, count in enumerate(row):
+                if dims.c2(r1, r2, r3) != count:
                     raise VerificationError(
                         f"c2 vs brute force at (r1, r2, r3) = {r1, r2, r3}")
                 cases += 1

@@ -109,7 +109,7 @@ def test_criterion_5_matrix_count_correction():
         r1, r2, r3 = 5, 2, 3
         variant = min(r2, r3, r1 - r2, r2 - r3) + 1
         assert variant == 0
-        assert c2(r1, r2, r3) == c2_bruteforce(r1, r2, r3) == 3 != variant
+        assert c2(r1, r2, r3) == c2_bruteforce(r1)[r2][r3] == 3 != variant
 
 
 def test_criterion_6_dimension_checksums():

@@ -59,6 +59,20 @@ class TestDim:
         assert out.splitlines() == ["m,l1,l2,l3,dim", "2,0,0,0,4"]
 
 
+@pytest.mark.parametrize("argv,want", [
+    (["dim", "40", "-4", "8", "-8"],
+     {"m": 40, "weight": [-4, 8, -8], "dim": 6957}),
+    (["dim", "3", "1", "2", "1"], {"m": 3, "weight": [1, 2, 1], "dim": 0}),
+    (["mult", "40", "4", "8", "8"],
+     {"m": 40, "label": [4, 8, 8], "mult": 3}),
+    (["mult", "2", "1", "1", "1"], {"m": 2, "label": [1, 1, 1], "mult": 0}),
+])
+def test_scalar_json_is_json_dumps(argv, want):
+    # the scalar json is rendered by hand, byte for byte json.dumps
+    assert run([*argv, "--format", "json"]) == (
+        0, json.dumps(want) + "\n", "")
+
+
 class TestMult:
     def test_text(self):
         code, out, _ = run(["mult", "40", "4", "8", "8"])

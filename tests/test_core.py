@@ -2,6 +2,8 @@ import contextlib
 import io
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from symcube import (
     CharacterFormatError,
@@ -24,7 +26,92 @@ class TestDimensions:
                 character_irrep(label)
 
 
+def parse_character_reference(text):
+    """The line parser as it read before its loop was tightened, kept to
+    pin that every text gives the same result or the same error."""
+    entries = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "_" in line or not line.isascii():
+            raise CharacterFormatError(
+                f"line {lineno}: not an ASCII decimal integer in {raw!r}")
+        fields = line.split()
+        if len(fields) != 4:
+            raise CharacterFormatError(
+                f"line {lineno}: expected 'l1 l2 l3 dim', got {raw!r}"
+            )
+        try:
+            l1, l2, l3, dim = (int(f) for f in fields)
+        except ValueError:
+            raise CharacterFormatError(
+                f"line {lineno}: non-integer field in {raw!r}"
+            ) from None
+        if dim <= 0:
+            raise CharacterFormatError(
+                f"line {lineno}: dimension must be positive, got {dim}"
+            )
+        w = (l1, l2, l3)
+        if w in entries:
+            raise CharacterFormatError(f"line {lineno}: duplicate weight {w}")
+        entries[w] = dim
+    return entries
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the error's type and message are compared
+        return type(exc), str(exc)
+
+
+# small numbers, so that weights repeat and dimensions hit 0 and below
+NUMBERS = st.builds("{}{}".format, st.sampled_from(["", "-", "+"]),
+                    st.integers(0, 2))
+# mostly integers, now and then an ASCII field int() refuses
+FIELDS = st.sampled_from(["0", "1", "-1", "+1", "01", "-0", "2"] * 4
+                         + ["x", "1.0", "--1"])
+TOKENS = NUMBERS | st.sampled_from(
+    ["#", "_", "1_0", "x", "\u00a0", "\u0661", "\uff12", "-\u0662", "007"])
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u3000", ""])
+ENDS = st.sampled_from(["", " ", "\t", "\u00a0"])
+
+
+def joined(parts, seps):
+    # each part followed by a separator; seps is at least as long as parts
+    return "".join(p + s for p, s in zip(parts, seps))
+
+
+# a line of four fields half the time, else any run of tokens
+LINES = st.builds(
+    lambda lead, body, tail: lead + body + tail,
+    ENDS | st.just("  # "),
+    st.builds(lambda weight, dim, seps: joined([*weight, dim], seps),
+              st.lists(FIELDS, min_size=3, max_size=3),
+              st.sampled_from(["1", "2", "+3", "01", "0", "-1"]),
+              st.lists(st.sampled_from([" ", "\t", " \t "]), min_size=4))
+    | st.builds(joined, st.lists(TOKENS, max_size=6),
+                st.lists(SEPARATORS, min_size=6)),
+    ENDS | st.just("\r"))
+# repeating the first lines at the end repeats their weights
+TEXTS = st.builds(lambda lines, again: "\n".join(lines + lines[:again]),
+                  st.lists(LINES, max_size=8), st.integers(0, 2))
+
+
 class TestCharacterFile:
+    @given(TEXTS)
+    @example("\u00a01 1 1 1\u00a0\n\n  # note\n-1 -1 +1 2\n")
+    @example("1 1\u00a01 1\n")
+    @example("1_0 0 0 1\n")
+    @example("1_0 0 0\n0 0 0 0\n")
+    @example("\n\n   #0 0 0 1\n0 0 0 1\n0 0 0 3\n")
+    @example("\u0661 1 1 1\n")
+    @example("+1 -0 0 -1\n")
+    def test_same_result_as_the_reference_parser(self, text):
+        assert outcome(parse_character, text) == \
+            outcome(parse_character_reference, text)
+
     def test_parse_basic(self):
         text = "# a comment\n1 1 1 1\n-1 -1 -1 1\n\n"
         assert parse_character(text) == {(1, 1, 1): 1, (-1, -1, -1): 1}

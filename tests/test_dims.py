@@ -61,8 +61,9 @@ class TestC2:
         ((1, 1, 1), 1),
     ])
     def test_known_counts(self, args, want):
+        r1, r2, r3 = args
         assert c2(*args) == want
-        assert c2_bruteforce(*args) == want
+        assert c2_bruteforce(r1)[r2][r3] == want
 
     def test_zero_second_row(self):
         # a21 = a22 = 0 forces the rest of the matrix
@@ -77,15 +78,36 @@ class TestC2:
 
     def test_rejects_non_int(self):
         for args in ((2.5, 1, 1), (True, True, 0), (1, 1, 1.0)):
-            for count in (c2, c2_bruteforce):
-                with pytest.raises(ValueError, match=re.escape(repr(args))):
-                    count(*args)
+            with pytest.raises(ValueError, match=re.escape(repr(args))):
+                c2(*args)
+        for r1 in (2.5, True):
+            with pytest.raises(ValueError, match=re.escape(repr(r1))):
+                c2_bruteforce(r1)
 
     def test_matches_bruteforce_everywhere(self):
+        def bruteforce(counts, r2, r3):
+            # the table holds 0 <= r2, r3 <= r1 and is empty for r1 < 0
+            inside = 0 <= r2 < len(counts) and 0 <= r3 < len(counts)
+            return counts[r2][r3] if inside else 0
+
         for r1 in range(-3, 26):
+            counts = c2_bruteforce(r1)
             for r2 in range(-3, r1 + 3):
                 for r3 in range(-3, r1 + 3):
-                    assert c2(r1, r2, r3) == c2_bruteforce(r1, r2, r3)
+                    assert c2(r1, r2, r3) == bruteforce(counts, r2, r3)
+
+    def test_bruteforce_counts_every_matrix_once(self):
+        for r1 in range(41):
+            counts = c2_bruteforce(r1)
+            assert len(counts) == r1 + 1, r1
+            # C(r1 + 3, 3) matrices have total r1, each adding one
+            assert sum(map(sum, counts)) == comb(r1 + 3, 3), r1
+            # transposing a matrix swaps its second-row and -column sums
+            assert counts == [list(col) for col in zip(*counts)], r1
+
+    def test_bruteforce_negative_total_is_empty(self):
+        for r1 in (-1, -2, -40):
+            assert c2_bruteforce(r1) == []
 
 
 class TestConvolution:

@@ -11,7 +11,12 @@ from symcube import (
     enumerate_character,
 )
 from symcube import characters, dims
-from symcube.verify import VerificationError, check_characters, check_dimensions
+from symcube.verify import (
+    VerificationError,
+    check_c2,
+    check_characters,
+    check_dimensions,
+)
 
 
 # the weight (1-2i, 1-2j, 1-2l) of x[i,j,l], at index 4i + 2j + l
@@ -92,12 +97,35 @@ class TestEnumerateCharacter:
             check_characters(20)
 
 
+class TestCheckC2:
+    def test_counts_every_triple(self):
+        assert check_c2(40) == sum((r1 + 1) ** 2 for r1 in range(41))
+
+    @pytest.mark.parametrize("wrong", [(40, 17, 33), (0, 0, 0)])
+    def test_names_the_one_wrong_triple(self, monkeypatch, wrong):
+        count = dims.c2
+        calls = Counter()
+
+        def off_at_one_triple(r1, r2, r3):
+            calls[r1, r2, r3] += 1
+            return count(r1, r2, r3) + ((r1, r2, r3) == wrong)
+
+        monkeypatch.setattr(dims, "c2", off_at_one_triple)
+        with pytest.raises(VerificationError) as raised:
+            check_c2(40)
+        assert str(raised.value) == \
+            f"c2 vs brute force at (r1, r2, r3) = {wrong}"
+        # once per triple, up to the wrong one
+        assert set(calls.values()) == {1}
+        assert max(calls) == wrong
+
+
 class TestBruteforceCounts:
     def test_c2_examples(self):
-        assert c2_bruteforce(5, 2, 3) == 3
-        assert c2_bruteforce(1, 1, 1) == 1
+        assert c2_bruteforce(5)[2][3] == 3
+        assert c2_bruteforce(1)[1][1] == 1
         for r1 in range(8):
-            assert c2_bruteforce(r1, 0, 0) == 1
+            assert c2_bruteforce(r1)[0][0] == 1
 
     def test_convolution_examples(self):
         assert convolution_bruteforce(4, 2, 1, 0) == 2
