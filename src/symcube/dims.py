@@ -47,9 +47,11 @@ def c2(r1: int, r2: int, r3: int) -> int:
     Raises ValueError unless r1, r2, r3 are ints (bool excluded)."""
     if not (type(r1) is type(r2) is type(r3) is int):
         raise ValueError(f"c2 takes three ints, got {(r1, r2, r3)!r}")
-    if not (0 <= r2 <= r1 and 0 <= r3 <= r1):
+    if r2 > r3:  # with r2 <= r3 the min above is min(r2, r1 - r3)
+        r2, r3 = r3, r2
+    if r2 < 0 or r3 > r1:
         return 0
-    return min(r2, r3, r1 - r2, r1 - r3) + 1
+    return (r2 if r2 < r1 - r3 else r1 - r3) + 1
 
 
 def _check_normalized(m: int, k: int, r: int, n: int) -> None:

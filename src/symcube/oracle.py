@@ -1,7 +1,7 @@
 """Brute-force ground truth.
 
 Everything here counts the defined sets by direct enumeration, with no
-formula beyond non-negativity checks, so that the closed forms and the
+formula beyond non-negativity bounds, so that the closed forms and the
 convolution identities elsewhere are validated against plain counting.
 """
 
@@ -77,22 +77,28 @@ def convolution_bruteforce(m: int, k: int, r: int, n: int) -> int:
     The i = 0 block (a000, a001, a010, a011) must total m - k with
     second-row sum a and second-column sum b; the i = 1 block
     (a100, a101, a110, a111) must total k with second-row sum r - a and
-    second-column sum n - b.  All splits (a, b) and all entries are
-    enumerated; no matrix-count formula is used.
+    second-column sum n - b.  Given the split (a, b), a011 fixes the i = 0
+    block, whose entry a000 = (m - k) - a - b + a011, and a111 fixes the
+    i = 1 block, whose entry a100 = k - (r - a) - (n - b) + a111.  So a011
+    runs over max(0, a + b - (m - k)) .. min(a, b) and a111 over
+    max(0, (r - a) + (n - b) - k) .. min(r - a, n - b): exactly the values
+    at which every entry is >= 0.  Each enumerated pair (a011, a111) is one
+    exponent tuple and adds one; no matrix-count formula is used.  0 when
+    an argument is negative (the empty set); ValueError unless all four
+    are ints (bool excluded).
     """
-    total = 0
+    if not (type(m) is type(k) is type(r) is type(n) is int):
+        raise ValueError(
+            f"convolution_bruteforce takes four ints, got {(m, k, r, n)!r}")
+    total, mk = 0, m - k
     for a in range(r + 1):
+        ra = r - a
         for b in range(n + 1):
-            for a011 in range(min(a, b) + 1):
-                a010 = a - a011
-                a001 = b - a011
-                a000 = (m - k) - a010 - a001 - a011
-                if a000 < 0:
-                    continue
-                for a111 in range(min(r - a, n - b) + 1):
-                    a110 = (r - a) - a111
-                    a101 = (n - b) - a111
-                    a100 = k - a110 - a101 - a111
-                    if a100 >= 0:
-                        total += 1
+            nb = n - b
+            low0, high0 = a + b - mk, a if a < b else b
+            low1, high1 = ra + nb - k, ra if ra < nb else nb
+            block1 = range(low1 if low1 > 0 else 0, high1 + 1)
+            for a011 in range(low0 if low0 > 0 else 0, high0 + 1):
+                for a111 in block1:
+                    total += 1
     return total

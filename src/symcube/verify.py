@@ -12,14 +12,14 @@ class VerificationError(Exception):
 
 def check_c2(top_r1: int) -> int:
     """c2 vs brute force for every 0 <= r2, r3 <= r1 <= top_r1."""
-    cases = 0
+    c2, cases = dims.c2, 0
     for r1 in range(top_r1 + 1):
         for r2, row in enumerate(oracle.c2_bruteforce(r1)):
             for r3, count in enumerate(row):
-                if dims.c2(r1, r2, r3) != count:
+                if c2(r1, r2, r3) != count:
                     raise VerificationError(
                         f"c2 vs brute force at (r1, r2, r3) = {r1, r2, r3}")
-                cases += 1
+            cases += len(row)
     return cases
 
 

@@ -96,6 +96,18 @@ class TestC2:
                 for r3 in range(-3, r1 + 3):
                     assert c2(r1, r2, r3) == bruteforce(counts, r2, r3)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_docstring_formula(self, data):
+        r1 = data.draw(st.integers(0, 10**6))
+        # each of r2, r3 anywhere, or within 5 of one of the walls 0 and r1
+        margin = (st.integers(-5, r1 + 5) | st.integers(-5, 5)
+                  | st.integers(r1 - 5, r1 + 5))
+        r2, r3 = data.draw(margin), data.draw(margin)
+        want = (min(r2, r3, r1 - r2, r1 - r3) + 1
+                if 0 <= r2 <= r1 and 0 <= r3 <= r1 else 0)
+        assert c2(r1, r2, r3) == want
+
     def test_bruteforce_counts_every_matrix_once(self):
         for r1 in range(41):
             counts = c2_bruteforce(r1)

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import product
 from math import comb
@@ -40,6 +41,27 @@ def character_by_definition(m):
         tuple(sum(a * w[c] for a, w in zip((m - sum(e), *e), FACTOR_WEIGHTS))
               for c in range(3))
         for e in exponents_up_to(m, 7))
+
+
+def convolution_by_full_loop(m, k, r, n):
+    """The pair count with no bounds worked out: every entry of both blocks
+    enumerated, the tuples with a000 < 0 or a100 < 0 skipped."""
+    total = 0
+    for a in range(r + 1):
+        for b in range(n + 1):
+            for a011 in range(min(a, b) + 1):
+                a010 = a - a011
+                a001 = b - a011
+                a000 = (m - k) - a010 - a001 - a011
+                if a000 < 0:
+                    continue
+                for a111 in range(min(r - a, n - b) + 1):
+                    a110 = (r - a) - a111
+                    a101 = (n - b) - a111
+                    a100 = k - a110 - a101 - a111
+                    if a100 >= 0:
+                        total += 1
+    return total
 
 
 class TestEnumerateCharacter:
@@ -135,6 +157,41 @@ class TestBruteforceCounts:
     def test_convolution_large_point(self):
         # the one large reference value, pinned by raw enumeration
         assert convolution_bruteforce(40, 18, 16, 16) == 6957
+
+
+class TestConvolutionBruteforce:
+    def test_matches_the_full_loop_at_small_indices(self):
+        # normalized or not: either bound may be the one that binds
+        for m in range(11):
+            for k, r, n in product(range(m + 1), repeat=3):
+                assert convolution_bruteforce(m, k, r, n) == \
+                    convolution_by_full_loop(m, k, r, n), (m, k, r, n)
+
+    def test_matches_the_full_loop_at_normalized_indices(self):
+        for m in range(21):
+            for k in range(m // 2 + 1):
+                for r in range(k + 1):
+                    for n in range(r + 1):
+                        assert convolution_bruteforce(m, k, r, n) == \
+                            convolution_by_full_loop(m, k, r, n), (m, k, r, n)
+
+    def test_independent_of_the_formulas(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle called a formula")
+
+        for name in ("c2", "dim_by_convolution", "dim_closed_form"):
+            monkeypatch.setattr(dims, name, refuse)
+        assert convolution_bruteforce(40, 18, 16, 16) == 6957
+
+    def test_rejects_non_int(self):
+        for args in ((4.0, 1, 1, 1), (4, True, 1, 1), (4, 1, 1, 0.0)):
+            with pytest.raises(ValueError, match=re.escape(repr(args))):
+                convolution_bruteforce(*args)
+
+    def test_negative_index_counts_the_empty_set(self):
+        for args in ((-1, 0, 0, 0), (4, -1, 1, 1), (4, 1, -1, 1),
+                     (4, 1, 1, -1), (-4, -2, -1, -1)):
+            assert convolution_bruteforce(*args) == 0, args
 
 
 class TestAgreement:
