@@ -15,13 +15,7 @@ from .core import parse_character
 from .dims import dim_weight, weight_dimensions
 from .multiplicity import decomposition_planes, multiplicity_sym
 from .oracle import ENUMERATION_CAP, check_cap
-from .verify import (
-    VerificationError,
-    check_c2,
-    check_characters,
-    check_dimensions,
-    check_greedy,
-)
+from .verify import CHECKS, VerificationError
 
 
 class UsageError(Exception):
@@ -152,20 +146,12 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    max_m = args.max_m
-    if max_m is None:
-        max_m = ENUMERATION_CAP if args.mode == "extended" else 12
-    check_cap(max_m)
-    check_c2(40)
-    print("2x2 matrix counts: closed form == brute force for r1 <= 40")
-    cases = check_dimensions(16)
-    print("weight dimensions: closed form == convolution == pair enumeration "
-          f"for m <= 16 ({cases} indices)")
-    check_characters(max_m)
-    print(f"characters: monomial enumeration == closed forms for m <= {max_m}")
-    top = min(max_m, 10)
-    check_greedy(top)
-    print(f"decompositions: greedy == covariant count for m <= {top}")
+    top = args.max_m
+    if top is None:
+        top = ENUMERATION_CAP if args.mode == "extended" else 12
+    check_cap(top)
+    for check, bound, template in CHECKS:
+        print(template.format(depth := bound(top), check(depth)))
     print("all checks passed")
     return 0
 

@@ -77,11 +77,9 @@ def dim_by_convolution(m: int, k: int, r: int, n: int) -> int:
     _check_normalized(m, k, r, n)
     total = 0
     mk = m - k
-    for a in range(r + 1):
+    for a in range(r + 1):  # r <= k <= m - k and n <= r: both counts >= 1
         for b in range(n + 1):
-            left = c2(mk, a, b)
-            if left:
-                total += left * c2(k, r - a, n - b)
+            total += c2(mk, a, b) * c2(k, r - a, n - b)
     return total
 
 

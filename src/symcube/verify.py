@@ -1,9 +1,10 @@
 """Cross-checks of the formulas against independent computations.  Each
 check returns its case count and raises VerificationError at the first
 disagreement; a function replaced on its module is the one checked.
+``symcube verify`` runs CHECKS: (check, bound of the top power, report).
 """
 
-from . import characters, dims, multiplicity, oracle
+from . import characters, core, dims, multiplicity, oracle
 
 
 class VerificationError(Exception):
@@ -12,6 +13,7 @@ class VerificationError(Exception):
 
 def check_c2(top_r1: int) -> int:
     """c2 vs brute force for every 0 <= r2, r3 <= r1 <= top_r1."""
+    core.check_power(top_r1)
     c2, cases = dims.c2, 0
     for r1 in range(top_r1 + 1):
         for r2, row in enumerate(oracle.c2_bruteforce(r1)):
@@ -25,6 +27,7 @@ def check_c2(top_r1: int) -> int:
 
 def check_dimensions(top_m: int) -> int:
     """Three routes to every weight dimension C(m; k, r, n), m <= top_m."""
+    core.check_power(top_m)
     cases = 0
     for m in range(top_m + 1):
         for k in range(m // 2 + 1):
@@ -44,6 +47,7 @@ def check_dimensions(top_m: int) -> int:
 
 def check_characters(top_m: int) -> int:
     """Monomial enumeration vs the closed-form character of S^m, m <= top_m."""
+    core.check_power(top_m)
     for m in range(top_m + 1):
         if oracle.enumerate_character(m) != \
                 characters.character_symmetric_power(m):
@@ -55,6 +59,7 @@ def check_characters(top_m: int) -> int:
 def check_greedy(top_m: int) -> int:
     """Greedy (eight-corner sums of the closed-form character) vs covariant
     count decomposition of S^m, m <= top_m."""
+    core.check_power(top_m)
     for m in range(top_m + 1):
         character = characters.character_symmetric_power(m)
         if characters.greedy_decompose(character) != \
@@ -63,3 +68,16 @@ def check_greedy(top_m: int) -> int:
                 f"greedy (eight-corner sums of the closed-form character) vs "
                 f"covariant count decompositions differ at m = {m}")
     return top_m + 1
+
+
+CHECKS = (
+    (check_c2, lambda top: 40,
+     "2x2 matrix counts: closed form == brute force for r1 <= {0}"),
+    (check_dimensions, lambda top: 16,
+     "weight dimensions: closed form == convolution == pair enumeration "
+     "for m <= {0} ({1} indices)"),
+    (check_characters, lambda top: top,
+     "characters: monomial enumeration == closed forms for m <= {0}"),
+    (check_greedy, lambda top: min(top, 10),
+     "decompositions: greedy == covariant count for m <= {0}"),
+)

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from symcube import cli, dims
+from symcube import cli, dims, verify
 from symcube.cli import main
 from symcube.core import check_power
 
@@ -484,18 +484,6 @@ class TestGreedy:
 
 
 class TestVerify:
-    def test_passes(self):
-        code, out, err = run(["verify", "--max-m", "10"])
-        assert code == 0 and err == ""
-        assert out.splitlines() == [
-            "2x2 matrix counts: closed form == brute force for r1 <= 40",
-            "weight dimensions: closed form == convolution == pair "
-            "enumeration for m <= 16 (825 indices)",
-            "characters: monomial enumeration == closed forms for m <= 10",
-            "decompositions: greedy == covariant count for m <= 10",
-            "all checks passed",
-        ]
-
     def test_mismatch_exits_3(self, monkeypatch):
         monkeypatch.setattr("symcube.dims.c2", lambda r1, r2, r3: r1 + 1)
         code, out, err = run(["verify", "--max-m", "3"])
@@ -509,6 +497,7 @@ class TestVerify:
         (["--max-m", "12"], 12),
         (["--mode", "extended"], 20),
         (["--mode", "extended", "--max-m", "20"], 20),
+        (["--max-m", "10"], 10),
     ])
     def test_stdout(self, argv, top):
         assert run(["verify", *argv]) == (0, (
@@ -518,6 +507,30 @@ class TestVerify:
             f"characters: monomial enumeration == closed forms for m <= {top}\n"
             "decompositions: greedy == covariant count for m <= 10\n"
             "all checks passed\n"), "")
+
+    def test_runs_and_reports_the_table_in_order(self, monkeypatch):
+        four = run(["verify", "--max-m", "3"])[1].splitlines()[:4]
+        calls = []
+
+        def record(top):
+            calls.append(top)
+            return 7
+
+        def fail(top):
+            raise verify.VerificationError("fifth entry")
+
+        monkeypatch.setattr(cli, "CHECKS", (
+            *verify.CHECKS, (record, lambda top: top - 1, "fifth {0} {1}")))
+        assert run(["verify", "--max-m", "3"]) == (
+            0, "\n".join([*four, "fifth 2 7", "all checks passed\n"]), "")
+        assert calls == [2]
+        # a failing entry stops the run after the lines before it
+        monkeypatch.setattr(cli, "CHECKS", (
+            *verify.CHECKS, (fail, lambda top: top, "fifth {0} {1}"),
+            (record, lambda top: top, "sixth {0} {1}")))
+        assert run(["verify", "--max-m", "3"]) == (
+            3, "\n".join([*four, ""]), "mismatch: fifth entry\n")
+        assert calls == [2]
 
     def test_max_m_beyond_the_oracle_cap_exits_2_at_once(self, monkeypatch):
         # a check that ran would fail with exit 3

@@ -17,6 +17,7 @@ from symcube.verify import (
     check_c2,
     check_characters,
     check_dimensions,
+    check_greedy,
 )
 
 
@@ -117,6 +118,14 @@ class TestEnumerateCharacter:
                             off_by_one)
         with pytest.raises(VerificationError, match=r"at m = 20$"):
             check_characters(20)
+
+
+@pytest.mark.parametrize(
+    "check", [check_c2, check_dimensions, check_characters, check_greedy])
+@pytest.mark.parametrize("bound", [True, 3.0, -1, "2"])
+def test_checks_reject_a_bound_that_is_not_a_non_negative_int(check, bound):
+    with pytest.raises(ValueError, match=re.escape(f"int, got {bound!r}")):
+        check(bound)
 
 
 class TestCheckC2:
