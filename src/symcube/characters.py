@@ -62,12 +62,14 @@ def greedy_decompose(c: Character) -> Decomposition:
     x_t * ch V(t) with integer x_t, so (c) holds exactly when c is the
     character of a module, whose multiplicities the x_t then are.
 
-    Raises ValueError on a key that is not a weight, and its subclass
-    NotAModuleCharacterError on an entry that is not a positive int, on
-    a failure of (a) or (b), naming the lexicographically largest weight
-    w with c[w] != c[|w|], and on a failure of (c), naming the largest t
-    with x_t < 0.
+    Raises ValueError on a c that is not a dict or a key that is not a
+    weight, and its subclass NotAModuleCharacterError on an entry that is
+    not a positive int, on a failure of (a) or (b), naming the
+    lexicographically largest weight w with c[w] != c[|w|], and on a
+    failure of (c), naming the largest t with x_t < 0.
     """
+    if not isinstance(c, dict):
+        raise ValueError(f"a character must be a dict, got {type(c).__name__}")
     for w, d in c.items():
         check_weight(w)
         if type(d) is not int or d <= 0:

@@ -17,6 +17,9 @@ from .multiplicity import decomposition_planes, multiplicity_sym
 from .oracle import ENUMERATION_CAP, check_cap
 from .verify import CHECKS, VerificationError
 
+# the top power of `symcube verify` by --mode, when --max-m is not given
+_DEFAULT_TOP = {"ci": 12, "extended": ENUMERATION_CAP}
+
 
 class UsageError(Exception):
     pass
@@ -146,9 +149,7 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    top = args.max_m
-    if top is None:
-        top = ENUMERATION_CAP if args.mode == "extended" else 12
+    top = _DEFAULT_TOP[args.mode] if args.max_m is None else args.max_m
     check_cap(top)
     for check, bound, template in CHECKS:
         print(template.format(depth := bound(top), check(depth)))
@@ -213,13 +214,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", help="cross-check the formulas against brute-force counts"
     )
+    p.add_argument("--max-m", type=_nonneg, help=(
+        "largest power for the character comparison, and min(--max-m, 10) "
+        f"for the greedy check (default: {_DEFAULT_TOP['ci']} in ci mode, "
+        f"{_DEFAULT_TOP['extended']} in extended mode)"))
     p.add_argument(
-        "--max-m", type=_nonneg, default=None,
-        help="largest power for the character comparison "
-        f"(default: 12 in ci mode, {ENUMERATION_CAP} in extended mode)",
-    )
-    p.add_argument(
-        "--mode", choices=("ci", "extended"), default="ci",
+        "--mode", choices=tuple(_DEFAULT_TOP), default="ci",
         help="preset verification depth (default: ci)",
     )
     p.set_defaults(func=_cmd_verify)

@@ -52,8 +52,10 @@ def parse_character(text: str) -> Character:
     One entry per line: four whitespace-separated ASCII decimal integers
     ``l1 l2 l3 dim`` (sign allowed, no ``_``) with dim > 0.  Lines starting
     with ``#`` are comments; blank lines are ignored; entry order is
-    irrelevant; a repeated weight is an error.
+    irrelevant; a repeated weight is an error, and so is a non-str text.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a str, got {type(text).__name__}")
     entries: Character = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

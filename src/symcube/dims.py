@@ -111,6 +111,19 @@ def _coeffs_high(m: int, k: int, r: int) -> tuple[int, ...]:
             c2 + (24 - 6 * e) * e - 20, c3 + 4 * e - 8, c4 - 1)
 
 
+def _regime(m: int, d: int, e: int, n: int) -> tuple:
+    """The closed form's one case selector, at n with d = k - r and
+    e = m - k - r: the regime's coefficient function, its (label, constant)
+    for r + n - k even and odd, and the first n beyond it (III: m + 1)."""
+    if n <= d:
+        return _coeffs_low, (("I", 48), ("I", 48)), d + 1
+    if n < e:
+        return _coeffs_mid, (("II.1", 48), ("II.2", 45)), e
+    if m % 2:
+        return _coeffs_high, (("III.3", 45), ("III.3", 45)), m + 1
+    return _coeffs_high, (("III.1", 48), ("III.2", 42)), m + 1
+
+
 def _line_dimensions(m: int, k: int, r: int, lo: int, hi: int) -> list[int]:
     """C(m; k, r, n) for lo <= n <= hi on one normalized line (k, r).
 
@@ -123,16 +136,8 @@ def _line_dimensions(m: int, k: int, r: int, lo: int, hi: int) -> list[int]:
     d, e = k - r, m - k - r
     values = []
     while lo <= hi:  # pick the regime that holds lo, and where it stops
-        if lo <= d:
-            coeffs, constants, stop = _coeffs_low, (48, 48), d + 1
-        elif lo < e:
-            coeffs, constants, stop = _coeffs_mid, (48, 45), e
-        else:  # n <= m/2 < m + 1 on every line
-            coeffs, constants, stop = _coeffs_high, (45, 45), m + 1
-            if m % 2 == 0:
-                constants = (48, 42)
-        if d % 2:  # listed by the parity of n - d, read by that of n
-            constants = constants[::-1]
+        coeffs, cases, stop = _regime(m, d, e, lo)
+        constants = cases[d & 1][1], cases[~d & 1][1]  # for n even, odd
         c0, c1, c2, c3, c4 = coeffs(m, k, r)
         for n in range(lo, min(hi + 1, stop)):
             value, rem = divmod((((c4 * n + c3) * n + c2) * n + c1) * n
@@ -140,7 +145,7 @@ def _line_dimensions(m: int, k: int, r: int, lo: int, hi: int) -> list[int]:
             if rem:
                 raise ArithmeticError(
                     f"scaled polynomial not divisible by 48 at m={m}, k={k}, "
-                    f"r={r}, n={n} (case {polynomial_case(m, k, r, n)}): "
+                    f"r={r}, n={n} (case {cases[(n - d) & 1][0]}): "
                     f"coefficient table transcription defect")
             values.append(value)
         lo = n + 1
@@ -158,13 +163,7 @@ def polynomial_case(m: int, k: int, r: int, n: int) -> str:
     'III.3' : r + n >= m - k, m odd
     """
     _check_normalized(m, k, r, n)
-    if r + n <= k:
-        return "I"
-    if r + n < m - k:
-        return "II.1" if (r + n - k) % 2 == 0 else "II.2"
-    if m % 2 == 1:
-        return "III.3"
-    return "III.1" if (r + n - k) % 2 == 0 else "III.2"
+    return _regime(m, k - r, m - k - r, n)[1][(r + n - k) & 1][0]
 
 
 def dim_closed_form(m: int, k: int, r: int, n: int) -> int:

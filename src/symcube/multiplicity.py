@@ -21,6 +21,12 @@ from itertools import count
 from .core import Decomposition, IrrepLabel, check_label, check_power
 
 
+def _count(low: int, h: int) -> int:
+    # the d of multiplicity_sym: max(0, ceil(-h / 2)) <= d <= (low - h) // 2,
+    # low = min(ni), whose floor subtracts c; a count <= 0 means none
+    return (low - h) // 2 + 1 - ((1 - h) // 2 if h < 1 else 0)
+
+
 def multiplicity_sym(m: int, label: IrrepLabel) -> int:
     """Multiplicity of the labeled irreducible in the m-th symmetric
     power of C2 (x) C2 (x) C2: the number of covariant monomials
@@ -37,10 +43,7 @@ def multiplicity_sym(m: int, label: IrrepLabel) -> int:
     check_label(label)
     if any(v > m or (v - m) % 2 != 0 for v in label):
         return 0
-    h = (sum(label) - m) // 2
-    # d runs from max(0, ceil(-h / 2)) to (min(ni) - c - h) / 2; min(ni) - h
-    # is odd exactly when c = 1, so flooring (min(ni) - h) / 2 subtracts c
-    return max(0, (min(label) - h) // 2 - max(0, (1 - h) // 2) + 1)
+    return max(0, _count(min(label), (sum(label) - m) // 2))
 
 
 def decomposition_planes(m: int) -> Iterator[list[tuple[IrrepLabel, int]]]:
@@ -49,10 +52,9 @@ def decomposition_planes(m: int) -> Iterator[list[tuple[IrrepLabel, int]]]:
     Labels have components in {m mod 2, m mod 2 + 2, ..., m} (weights of
     the power lie in [-m, m]^3, so nothing outside can occur).  Yields,
     for n1 = m, m - 2, ..., the (label, mult) rows with first component n1
-    and mult != 0 in descending lexicographic order, each mult the count
-    of multiplicity_sym, written out inline: h = (n1 + n2 + n3 - m) / 2
-    falls by 1 as n3 falls by 2.  Holds only one plane of rows, O(m^2)
-    ints.  Raises ValueError on a malformed power.
+    and mult != 0 in descending lexicographic order, each mult by _count,
+    as in multiplicity_sym, with h falling by 1 as n3 falls by 2.  Holds
+    one plane of rows, O(m^2) ints.  Raises ValueError on a malformed power.
     """
     check_power(m)
     values = range(m, -1, -2)
@@ -64,8 +66,7 @@ def decomposition_planes(m: int) -> Iterator[list[tuple[IrrepLabel, int]]]:
             lo12 = n1 if n1 < n2 else n2
             rows += [((n1, n2, n3), x) for n3, h in
                      zip(values, count((n1 + n2) // 2, -1))
-                     if (x := ((lo12 if lo12 < n3 else n3) - h) // 2 + 1
-                         - ((1 - h) // 2 if h < 1 else 0)) > 0]
+                     if (x := _count(lo12 if lo12 < n3 else n3, h)) > 0]
         yield rows
 
 

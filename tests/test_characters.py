@@ -270,6 +270,16 @@ class TestGreedyDecompose:
                 f"a weight must be a tuple of three ints, got {key!r}")):
             greedy_decompose({key: 1})
 
+    @pytest.mark.parametrize("c,kind", [([], "list"), (None, "NoneType"),
+                                        ("0 0 0 1", "str"),
+                                        ((((0, 0, 0), 1),), "tuple")])
+    def test_character_that_is_not_a_dict_rejected(self, c, kind):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a character must be a dict, got {kind}")):
+            greedy_decompose(c)
+        # a Counter is a dict
+        assert greedy_decompose(Counter({(0, 0, 0): 1})) == {(0, 0, 0): 1}
+
     @settings(max_examples=60)
     @given(decompositions)
     def test_round_trip(self, dec):

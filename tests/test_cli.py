@@ -532,6 +532,17 @@ class TestVerify:
             3, "\n".join([*four, ""]), "mismatch: fifth entry\n")
         assert calls == [2]
 
+    def test_max_m_help_names_both_checks(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--help"])
+        assert info.value.code == 0
+        # argparse wraps the help to the terminal width
+        assert ("--max-m MAX_M largest power for the character comparison, "
+                "and min(--max-m, 10) for the greedy check (default: 12 in "
+                "ci mode, 20 in extended mode)") in \
+            " ".join(capsys.readouterr().out.split())
+
     def test_max_m_beyond_the_oracle_cap_exits_2_at_once(self, monkeypatch):
         # a check that ran would fail with exit 3
         monkeypatch.setattr("symcube.dims.c2", lambda r1, r2, r3: r1 + 1)

@@ -138,6 +138,14 @@ class TestCharacterFile:
         with pytest.raises(CharacterFormatError, match="^line 2: "):
             parse_character(f"# comment \u00e9\n{line}\n")
 
+    @pytest.mark.parametrize("text,kind", [(None, "NoneType"),
+                                           (b"0 0 0 1", "bytes"),
+                                           (["0 0 0 1"], "list")])
+    def test_text_that_is_not_a_str_rejected(self, text, kind):
+        with pytest.raises(ValueError,
+                           match=f"^text must be a str, got {kind}$"):
+            parse_character(text)
+
     def test_round_trip(self):
         # `symcube character m` writes the format parse_character reads
         for m in range(6):

@@ -222,6 +222,37 @@ class TestClosedForm:
         assert found[5] == polynomial_case(*index)
         assert found[5].startswith(("II.", "III."))
 
+    @pytest.mark.parametrize("name,regimes", [
+        ("_coeffs_low", {"I"}),
+        ("_coeffs_mid", {"II", "III"}),  # III reads the II coefficients
+        ("_coeffs_high", {"III"}),
+    ])
+    def test_label_is_the_branch_taken(self, monkeypatch, name, regimes):
+        # c0 + 1 breaks the division by 48 exactly at the indices whose
+        # regime reads the perturbed coefficients, and nowhere else
+        indices = [(m, k, r, n) for m in range(21) for k in range(m // 2 + 1)
+                   for r in range(k + 1) for n in range(r + 1)]
+        assert len(indices) == 1716
+        want = {index: dim_closed_form(*index) for index in indices}
+        real = getattr(dims, name)
+        monkeypatch.setattr(dims, name,
+                            lambda *mkr: (real(*mkr)[0] + 1, *real(*mkr)[1:]))
+        raised = 0
+        for index in indices:
+            case = polynomial_case(*index)
+            if case.split(".")[0] not in regimes:
+                assert dim_closed_form(*index) == want[index]
+                continue
+            with pytest.raises(ArithmeticError) as info:
+                dim_closed_form(*index)
+            m, k, r, n = index
+            assert str(info.value) == (
+                f"scaled polynomial not divisible by 48 at m={m}, k={k}, "
+                f"r={r}, n={n} (case {case}): coefficient table "
+                f"transcription defect")
+            raised += 1
+        assert 0 < raised < len(indices)
+
 
 class TestDominantDimensions:
     @pytest.mark.parametrize("m", list(range(31)) + [99, 100, 101])

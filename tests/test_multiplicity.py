@@ -167,6 +167,11 @@ class TestDecompositionPlanes:
 
 
 class TestCheckGreedy:
+    def test_count_matches_the_corner_sums_to_m_30(self):
+        # the eight-corner sums of the closed-form character are the route
+        # independent of the covariant count; verify runs it to m = 10 only
+        assert check_greedy(30) == 31
+
     def test_detects_one_wrong_multiplicity_at_m_7(self, monkeypatch):
         build = multiplicity.decompose_symmetric_power
 
