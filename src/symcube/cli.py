@@ -2,20 +2,21 @@
 tables on stdout.
 
 Exit codes: 0 success, 1 usage error, 2 computation error (invalid
-character input and the like), 3 verification mismatch.
+character input and the like), 3 verification mismatch, 141 closed stdout.
 """
 
 import argparse
+import os
 import sys
 from math import comb
-from operator import add
 
 from .characters import greedy_decompose
 from .core import parse_character
-from .dims import dim_weight, weight_dimensions
-from .multiplicity import decomposition_planes, multiplicity_sym
+from .dims import dim_weight
+from .multiplicity import (character_lines, decomposition_planes,
+                           multiplicity_sym)
 from .oracle import ENUMERATION_CAP, check_cap
-from .verify import CHECKS, VerificationError
+from .verify import CHECKS, GREEDY_CAP, VerificationError
 
 # the top power of `symcube verify` by --mode, when --max-m is not given
 _DEFAULT_TOP = {"ci": 12, "extended": ENUMERATION_CAP}
@@ -111,29 +112,27 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_character(args) -> int:
-    # Rows are written one line (l1, l2) of the weight cube at a time,
-    # never all held; (l1, l2) and (l1, -l2) share their formatted pieces.
-    # The json is byte for byte what json.dumps renders for {"m": m,
+    # (l1, l2) and (l1, -l2) share one % of the template, whose NULs take
+    # each line's head.  The json is byte for byte json.dumps of {"m": m,
     # "entries": [{"weight": [l1, l2, l3], "dim": d}, ...], "total": sum}.
     m, fmt, out = args.m, args.format, sys.stdout
-    l3s = range(m, -m - 1, -2)
     if fmt == "json":
         out.write(f'{{"m": {m}, "entries": [')
-        tails = [f', {l3}], "dim": ' for l3 in l3s]
-        head, end, between = '{"weight": [%d, %d', "}", ", "
+        cells = [f', {l3}], "dim": %d}}' for l3 in range(m, -m - 1, -2)]
+        head, between = '{"weight": [%d, %d', ", "
     else:
         sep = "," if fmt == "csv" else " "
         out.write("l1,l2,l3,dim\n" if fmt == "csv" else "")
-        tails = [f"{sep}{l3}{sep}" for l3 in l3s]
-        head, end, between = f"%d{sep}%d", "\n", ""
-    pieces, total, lead = {}, 0, ""
-    for l1, l2, dims in weight_dimensions(m):
-        if l2 >= 0:
-            pieces[l2] = list(map(add, tails, map(str, dims)))
+        cells = [f"{sep}{l3}{sep}%d\n" for l3 in range(m, -m - 1, -2)]
+        head, between = f"%d{sep}%d", ""
+    template, bodies, total, lead = "\0".join(cells), {}, 0, ""
+    for l1, l2, dims in character_lines(m):
         total += sum(dims)
+        if l2 >= 0:
+            bodies[l2] = template % tuple(dims)
         line_head = head % (l1, l2)
         out.write(lead + line_head
-                  + (end + between + line_head).join(pieces[abs(l2)]) + end)
+                  + bodies[abs(l2)].replace("\0", between + line_head))
         lead = between
     if fmt == "json":
         out.write(f'], "total": {total}}}\n')
@@ -215,9 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="cross-check the formulas against brute-force counts"
     )
     p.add_argument("--max-m", type=_nonneg, help=(
-        "largest power for the character comparison, and min(--max-m, 10) "
-        f"for the greedy check (default: {_DEFAULT_TOP['ci']} in ci mode, "
-        f"{_DEFAULT_TOP['extended']} in extended mode)"))
+        "largest power for both character comparisons, and min(--max-m, "
+        f"{GREEDY_CAP}) for the greedy check (default: {_DEFAULT_TOP['ci']} "
+        f"in ci mode, {_DEFAULT_TOP['extended']} in extended mode)"))
     p.add_argument(
         "--mode", choices=tuple(_DEFAULT_TOP), default="ci",
         help="preset verification depth (default: ci)",
@@ -236,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
+    except BrokenPipeError:  # as by `| head`; devnull takes the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except VerificationError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 3

@@ -11,12 +11,13 @@ one syzygy, which writes T^2 in the others (Briand, Luque and Thibon,
 basis, and multiplicity_sym counts those of degree m and the label's
 weight in O(1), reading no weight dimension.
 
-A full table runs the same count at every label, one plane (one n1) at a
-time, so it holds O(m^2) ints of rows and no weight dimension either.
+Full tables, and the character as prefix sums, run the same count one
+plane (one n1) at a time in O(m^2) ints, reading no weight dimension.
 """
 
 from collections.abc import Iterator
-from itertools import count
+from itertools import accumulate, count
+from operator import add, sub
 
 from .core import Decomposition, IrrepLabel, check_label, check_power
 
@@ -74,3 +75,38 @@ def decompose_symmetric_power(m: int) -> Decomposition:
     """Complete decomposition of the m-th symmetric power: every row of
     decomposition_planes(m), in its order, held in one dict."""
     return {label: x for rows in decomposition_planes(m) for label, x in rows}
+
+
+def _count_row(m: int, a: int, b: int, up: list[int]) -> list[int]:
+    # Counts at co-indices (m - ni) / 2 = (a, b, c), c <= m // 2, as slices
+    # of the half-ramp up.  With lo = min(a, b) and s = a + b, d <= (min(ni)
+    # - h) / 2 holds for min(c - s + 2 lo, s - c) // 2 + 1 of them on
+    # [s - 2 lo, s], less ceil((c - m + s) / 2) below -h / 2 for c > m - s.
+    lo, s, half, zeros = (a if a < b else b), a + b, m // 2, [0] * len(up)
+    row = (zeros[:s - 2 * lo] + up[:lo + 1] + up[:lo][::-1] + zeros)[:half + 1]
+    if m - s < half:
+        row = list(map(sub, row, zeros[:m - s + 1] + up[:half - m + s]))
+    return row
+
+
+def character_lines(m: int) -> Iterator[tuple[int, int, list[int]]]:
+    """The lines (l1, l2, dims) of dims.weight_dimensions(m), in its order,
+    from O(m^2) state: the dimension at co-indices (m - |li|) / 2 = (a, b, c)
+    sums the counts at co-indices <= (a, b, c), so going down l1 a running
+    plane adds each count plane's 2-D prefix sums, and coming back up it
+    subtracts them.  Raises ValueError on a malformed power."""
+    check_power(m)
+    half, values = m // 2, range(m, -m - 1, -2)
+    up = [j // 2 + 1 for j in range(half + 1)]  # 1, 1, 2, 2, 3, ...
+    fold = [min(i, m - i) for i in range(m + 1)]  # co-index of m - 2i
+    running, last = [[0] * (half + 1)] * (half + 1), -1
+    for l1, a in zip(values, fold):
+        if a != last:  # add plane a going down, subtract plane last going up
+            op, k, last = (add, a, a) if a > last else (sub, last, a)
+            prefix = [0] * (half + 1)  # row b of plane k's 2-D prefix sums
+            for b in range(half + 1):
+                row = accumulate(_count_row(m, k, b, up))
+                prefix = list(map(add, prefix, row))
+                running[b] = list(map(op, running[b], prefix))
+        for l2, b in zip(values, fold):  # l3 < 0 mirror l3 > 0
+            yield l1, l2, running[b] + running[b][:m - half][::-1]

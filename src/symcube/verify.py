@@ -56,6 +56,15 @@ def check_characters(top_m: int) -> int:
     return top_m + 1
 
 
+def check_character_lines(top_m: int) -> int:
+    """Covariant count prefix sums vs closed-form lines of S^m, m <= top_m."""
+    core.check_power(top_m)
+    for m in range(top_m + 1):
+        if [*multiplicity.character_lines(m)] != [*dims.weight_dimensions(m)]:
+            raise VerificationError(f"count prefix sums differ at m = {m}")
+    return top_m + 1
+
+
 def check_greedy(top_m: int) -> int:
     """Greedy (eight-corner sums of the closed-form character) vs covariant
     count decomposition of S^m, m <= top_m."""
@@ -70,6 +79,7 @@ def check_greedy(top_m: int) -> int:
     return top_m + 1
 
 
+GREEDY_CAP = 10  # the top power of check_greedy in CHECKS, at most
 CHECKS = (
     (check_c2, lambda top: 40,
      "2x2 matrix counts: closed form == brute force for r1 <= {0}"),
@@ -78,6 +88,8 @@ CHECKS = (
      "for m <= {0} ({1} indices)"),
     (check_characters, lambda top: top,
      "characters: monomial enumeration == closed forms for m <= {0}"),
-    (check_greedy, lambda top: min(top, 10),
+    (check_character_lines, lambda top: top,
+     "characters: covariant count prefix sums == closed forms for m <= {0}"),
+    (check_greedy, lambda top: min(top, GREEDY_CAP),
      "decompositions: greedy == covariant count for m <= {0}"),
 )

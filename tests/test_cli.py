@@ -2,14 +2,19 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from symcube import cli, dims, verify
 from symcube.cli import main
 from symcube.core import check_power
+from symcube.multiplicity import character_lines
 
 
 def run(argv):
@@ -389,9 +394,13 @@ class TestDecomposeStreams:
 
 class TestCharacterRows:
     def test_holds_less_than_the_cube(self):
-        # The character keeps each dominant row (i, j), i >= j, once:
-        # 1,326 rows of 51 values at m = 100, against the cube's 132,651
-        # values.  The untraced warm-up pays the process's one-off costs.
+        # The character holds a running plane of 51 rows of 51 values at
+        # m = 100, one row of a count plane's prefix sums and the 51
+        # formatted lines (l1, l2 >= 0) of one l1, against the cube's
+        # 132,651 values (it peaks at about a tenth of the cube's peak);
+        # weight_dimensions, the reference, keeps each dominant row (i, j),
+        # i >= j, once: 1,326 rows of 51 values.  The untraced warm-up pays
+        # the process's one-off costs.
         with contextlib.redirect_stdout(_Discard()):
             assert main(["character", "100"]) == 0
         tracemalloc.start()
@@ -409,8 +418,34 @@ class TestCharacterRows:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 0.85 * cube_peak, (peak, cube_peak)
+        assert peak < 0.2 * cube_peak, (peak, cube_peak)
         assert sweep_peak < 0.7 * cube_peak, (sweep_peak, cube_peak)
+
+    def test_sweep_at_m_300_holds_under_10_mb(self):
+        # the closed-form route, weight_dimensions(300), peaks at about 33 MB
+        tracemalloc.start()
+        try:
+            for _ in character_lines(300):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000, peak
+
+
+class TestClosedStdout:
+    def test_exits_141_and_says_nothing(self):
+        # as `symcube character 60 | head -1`: 3.3 MB of output, so the
+        # writes after the first line meet a closed pipe
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "symcube.cli", "character", "60"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.readline() == b"60 60 60 1\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
 
 
 class TestCharacter:
@@ -505,11 +540,13 @@ class TestVerify:
             "weight dimensions: closed form == convolution == pair "
             "enumeration for m <= 16 (825 indices)\n"
             f"characters: monomial enumeration == closed forms for m <= {top}\n"
+            "characters: covariant count prefix sums == closed forms for "
+            f"m <= {top}\n"
             "decompositions: greedy == covariant count for m <= 10\n"
             "all checks passed\n"), "")
 
     def test_runs_and_reports_the_table_in_order(self, monkeypatch):
-        four = run(["verify", "--max-m", "3"])[1].splitlines()[:4]
+        checks = run(["verify", "--max-m", "3"])[1].splitlines()[:-1]
         calls = []
 
         def record(top):
@@ -517,19 +554,19 @@ class TestVerify:
             return 7
 
         def fail(top):
-            raise verify.VerificationError("fifth entry")
+            raise verify.VerificationError("extra entry")
 
         monkeypatch.setattr(cli, "CHECKS", (
-            *verify.CHECKS, (record, lambda top: top - 1, "fifth {0} {1}")))
+            *verify.CHECKS, (record, lambda top: top - 1, "extra {0} {1}")))
         assert run(["verify", "--max-m", "3"]) == (
-            0, "\n".join([*four, "fifth 2 7", "all checks passed\n"]), "")
+            0, "\n".join([*checks, "extra 2 7", "all checks passed\n"]), "")
         assert calls == [2]
         # a failing entry stops the run after the lines before it
         monkeypatch.setattr(cli, "CHECKS", (
-            *verify.CHECKS, (fail, lambda top: top, "fifth {0} {1}"),
-            (record, lambda top: top, "sixth {0} {1}")))
+            *verify.CHECKS, (fail, lambda top: top, "extra {0} {1}"),
+            (record, lambda top: top, "after {0} {1}")))
         assert run(["verify", "--max-m", "3"]) == (
-            3, "\n".join([*four, ""]), "mismatch: fifth entry\n")
+            3, "\n".join([*checks, ""]), "mismatch: extra entry\n")
         assert calls == [2]
 
     def test_max_m_help_names_both_checks(self, monkeypatch, capsys):
@@ -538,10 +575,15 @@ class TestVerify:
             main(["verify", "--help"])
         assert info.value.code == 0
         # argparse wraps the help to the terminal width
-        assert ("--max-m MAX_M largest power for the character comparison, "
-                "and min(--max-m, 10) for the greedy check (default: 12 in "
-                "ci mode, 20 in extended mode)") in \
+        assert ("--max-m MAX_M largest power for both character "
+                "comparisons, and min(--max-m, 10) for the greedy check "
+                "(default: 12 in ci mode, 20 in extended mode)") in \
             " ".join(capsys.readouterr().out.split())
+        # the bounds that the help names are the ones that run
+        assert verify.GREEDY_CAP == 10
+        assert [bound(12) for _, bound, _ in verify.CHECKS[2:]] == [12, 12, 10]
+        assert [check.__name__ for check, _, _ in verify.CHECKS[2:]] == [
+            "check_characters", "check_character_lines", "check_greedy"]
 
     def test_max_m_beyond_the_oracle_cap_exits_2_at_once(self, monkeypatch):
         # a check that ran would fail with exit 3

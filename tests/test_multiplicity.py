@@ -12,8 +12,12 @@ from symcube import (
     multiplicity_sym,
 )
 from symcube import dims, multiplicity
-from symcube.multiplicity import decomposition_planes
-from symcube.verify import VerificationError, check_greedy
+from symcube.multiplicity import character_lines, decomposition_planes
+from symcube.verify import (
+    VerificationError,
+    check_character_lines,
+    check_greedy,
+)
 
 
 def cube_differences(m):
@@ -185,3 +189,56 @@ class TestCheckGreedy:
                             off_by_one)
         with pytest.raises(VerificationError, match=r"at m = 7$"):
             check_greedy(10)
+
+
+class TestCharacterLines:
+    @pytest.mark.parametrize("m", [*range(61), 99, 100, 101])
+    def test_lines_are_the_closed_form_lines(self, m):
+        assert list(character_lines(m)) == list(dims.weight_dimensions(m))
+
+    @pytest.mark.parametrize("m", range(61))
+    def test_count_rows_are_the_count_at_every_label(self, m):
+        # the row form against the one scalar statement of the count
+        half = m // 2
+        up = [j // 2 + 1 for j in range(half + 1)]
+        for a in range(half + 1):
+            for b in range(half + 1):
+                labels = [(m - 2 * a, m - 2 * b, m - 2 * c)
+                          for c in range(half + 1)]
+                assert multiplicity._count_row(m, a, b, up) == [
+                    max(0, multiplicity._count(min(t), (sum(t) - m) // 2))
+                    for t in labels], (a, b)
+
+    def test_reads_no_weight_dimension(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the lines read a weight dimension")
+
+        for name in ("dim_weight", "dim_closed_form", "weight_dimensions",
+                     "_line_dimensions", "_regime"):
+            monkeypatch.setattr(dims, name, refuse)
+        lines = list(character_lines(21))
+        assert len(lines) == 22 ** 2
+        assert sum(sum(line) for _, _, line in lines) == comb(28, 7)
+
+    @pytest.mark.parametrize("m", [-1, 2.0, True, "3"])
+    def test_malformed_power_rejected(self, m):
+        with pytest.raises(ValueError):
+            next(character_lines(m))
+
+
+class TestCheckCharacterLines:
+    def test_counts_the_powers(self):
+        assert check_character_lines(20) == 21
+
+    def test_detects_one_wrong_count_at_m_7(self, monkeypatch):
+        row = multiplicity._count_row
+
+        def off_by_one(m, a, b, up):
+            counts = row(m, a, b, up)
+            if (m, a, b) == (7, 1, 2):
+                counts[3] += 1
+            return counts
+
+        monkeypatch.setattr(multiplicity, "_count_row", off_by_one)
+        with pytest.raises(VerificationError, match=r"at m = 7$"):
+            check_character_lines(10)
