@@ -12,10 +12,11 @@ lexicographically largest weight whose dimension differs from that of
 its sign images, or else the largest label whose corner sum is negative.
 """
 
-from itertools import chain, product
+from collections.abc import Iterable
+from itertools import product, repeat
 
-from .core import (Character, Decomposition, IrrepLabel,
-                   check_label, check_power, check_weight)
+from .core import (Character, CharacterFormatError, Decomposition,
+                   IrrepLabel, Weight, check_label, check_power, check_weight)
 from .dims import weight_dimensions
 
 
@@ -52,21 +53,21 @@ def greedy_decompose(c: Character) -> Decomposition:
     descending lexicographic label order.
 
     With |w| the componentwise absolute value of w, c is accepted when
-    (a) c[w] == c[|w|] at every weight w, (b) the dimensions sum to
-    c[v] * 2^(number of non-zero components of v) summed over the dominant
-    weights v of the support, and (c) the corner sum x_t, the alternating
-    sum of c over t + {0, 2}^3, is >= 0 at every dominant t with a corner
-    in the support; the result is then {t: x_t for x_t > 0}.  This is
-    exact: (a) and (b) say c is invariant under sign changes, and Moebius
-    inversion over the dominance order writes any such c as the sum of
-    x_t * ch V(t) with integer x_t, so (c) holds exactly when c is the
-    character of a module, whose multiplicities the x_t then are.
+    (a) c[w] == c[|w|] > 0 at every w with |w| = |u| for a weight u of c,
+    and (b) the corner sum x_t, the alternating sum of c over
+    t + {0, 2}^3, is >= 0 at every dominant t with a corner in the
+    support; the result is then {t: x_t for x_t > 0}.  This is exact: (a)
+    says c is invariant under sign changes, and Moebius inversion over the
+    dominance order writes any such c as the sum of x_t * ch V(t) with
+    integer x_t, so (b) holds exactly when c is the character of a module,
+    whose multiplicities the x_t then are.
 
     Raises ValueError on a c that is not a dict or a key that is not a
     weight, and its subclass NotAModuleCharacterError on an entry that is
-    not a positive int, on a failure of (a) or (b), naming the
-    lexicographically largest weight w with c[w] != c[|w|], and on a
-    failure of (c), naming the largest t with x_t < 0.
+    not a positive int, on a failure of (a), naming the lexicographically
+    largest weight w with c.get(w, 0) != c.get(|w|, 0) among the weights
+    of c and the sign images of its dominant weights, and on a failure of
+    (b), naming the largest t with x_t < 0.
     """
     if not isinstance(c, dict):
         raise ValueError(f"a character must be a dict, got {type(c).__name__}")
@@ -77,24 +78,44 @@ def greedy_decompose(c: Character) -> Decomposition:
                 f"not a module character: weight {w} has non-positive "
                 f"or non-integer dimension {d!r}"
             )
-    dominant = {w: d for w, d in c.items() if min(w) >= 0}
-    orbit_total = sum(d << ((a > 0) + (b > 0) + (e > 0))
-                      for (a, b, e), d in dominant.items())
-    if sum(c.values()) != orbit_total or any(
-            dominant.get((abs(a), abs(b), abs(e))) != d
-            for (a, b, e), d in c.items()):
-        w = max(chain(
-            (w for w, d in c.items() if c.get(tuple(map(abs, w)), 0) != d),
-            (w for v in dominant
-             for w in product(*((n, -n) if n else (0,) for n in v))
-             if w not in c)))
+    return decompose_entries(zip(repeat(0), c, c.values()))
+
+
+def decompose_entries(entries: Iterable[tuple[int, Weight, int]]
+                      ) -> Decomposition:
+    """greedy_decompose of the character with these (lineno, weight, dim)
+    entries, dims positive ints, read in one pass that keeps state per
+    sign orbit; CharacterFormatError names the line of a repeated weight."""
+    # x[|w|]: the first dim seen in the orbit of w, 8 bits up, OR the flag
+    # 1 << 4 (l1 < 0) + 2 (l2 < 0) + (l3 < 0) of each weight seen (a zero
+    # component has no flag for its sign); odd[|w|, flag]: a dim unlike it
+    x, odd = {}, {}
+    for lineno, w, d in entries:
+        a, b, e = w
+        v = (abs(a), abs(b), abs(e))
+        flag = 1 << (a < 0) * 4 + (b < 0) * 2 + (e < 0)
+        packed = x.setdefault(v, d << 8)
+        if packed & flag:
+            raise CharacterFormatError(f"line {lineno}: duplicate weight {w}")
+        x[v] = packed | flag
+        if packed >> 8 != d:
+            odd[v, flag] = d
+    faulty = {v for v, _ in odd}.union(v for v, p in x.items() if p & 255 != (
+        v[0] and 255 or 15) & (v[1] and 255 or 51) & (v[2] and 255 or 85))
+    if faulty:
+        def dim(w):  # c.get(w, 0)
+            v = tuple(map(abs, w))
+            flag = 1 << (w[0] < 0) * 4 + (w[1] < 0) * 2 + (w[2] < 0)
+            return odd.get((v, flag), x[v] >> 8) if x[v] & flag else 0
+
+        w = max(w for v in faulty for w in product(
+            *((n, -n) if n else (0,) for n in v)) if dim(w) != dim(v))
         v = tuple(map(abs, w))
         raise NotAModuleCharacterError(
-            f"not a module character: weight {w} has dimension "
-            f"{c.get(w, 0)}, but {v}, the same weight up to signs, has "
-            f"{c.get(v, 0)}"
-        )
-    x = dominant  # one backward difference per axis leaves the corner sums
+            f"not a module character: weight {w} has dimension {dim(w)}, "
+            f"but {v}, the same weight up to signs, has {dim(v)}")
+    for v, packed in x.items():  # the dim at each |w|, then one backward
+        x[v] = packed >> 8  # difference per axis leaves the corner sums
     for i, j, k in ((2, 0, 0), (0, 2, 0), (0, 0, 2)):
         diff = dict(x)
         for (a, b, e), d in x.items():
@@ -110,4 +131,3 @@ def greedy_decompose(c: Character) -> Decomposition:
             f"the eight corners {t} + {{0, 2}}^3"
         )
     return dict(sorted(((t, n) for t, n in x.items() if n), reverse=True))
-

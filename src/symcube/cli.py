@@ -10,8 +10,8 @@ import os
 import sys
 from math import comb
 
-from .characters import greedy_decompose
-from .core import parse_character
+from .characters import decompose_entries
+from .core import character_entries
 from .dims import dim_weight
 from .multiplicity import (character_lines, decomposition_planes,
                            multiplicity_sym)
@@ -140,10 +140,10 @@ def _cmd_character(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
+    # the entries hold the only reference to the text, freed once read
     with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
-    dec = greedy_decompose(parse_character(text))
-    _render_decomposition([dec.items()], args.format)
+        entries = character_entries(fh.read())
+    _render_decomposition([decompose_entries(entries).items()], args.format)
     return 0
 
 
@@ -234,7 +234,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout meets this flush, not the exit's
+        return code
     except BrokenPipeError:  # as by `| head`; devnull takes the final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141

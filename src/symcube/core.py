@@ -16,6 +16,8 @@ here is pure and all values are immutable once built, so concurrent use
 needs no locking.
 """
 
+from collections.abc import Iterator
+
 Weight = tuple[int, int, int]
 IrrepLabel = tuple[int, int, int]
 Character = dict[Weight, int]
@@ -46,6 +48,39 @@ def check_label(label: IrrepLabel) -> None:
         raise ValueError(f"highest weights must be non-negative, got {label}")
 
 
+def character_entries(text: str) -> Iterator[tuple[int, Weight, int]]:
+    """(lineno, weight, dim) of each entry of a character text, in order;
+    CharacterFormatError at the first malformed line.  Lines are split an
+    8 KiB slice at a time, cut after a "\\n", which ends a line under
+    every break str.splitlines knows, so no list of all lines is held."""
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a str, got {type(text).__name__}")
+    lineno = start = 0
+    while start < len(text):
+        cut = text.find("\n", start + 8192) + 1 or len(text)
+        for lineno, raw in enumerate(text[start:cut].splitlines(), lineno + 1):
+            line = raw.strip()
+            if not line or line[0] == "#":
+                continue
+            if "_" in line or not line.isascii():
+                raise CharacterFormatError(
+                    f"line {lineno}: not an ASCII decimal integer in {raw!r}")
+            fields = line.split()
+            if len(fields) != 4:
+                raise CharacterFormatError(
+                    f"line {lineno}: expected 'l1 l2 l3 dim', got {raw!r}")
+            try:
+                l1, l2, l3, dim = map(int, fields)
+            except ValueError:
+                raise CharacterFormatError(
+                    f"line {lineno}: non-integer field in {raw!r}") from None
+            if dim <= 0:
+                raise CharacterFormatError(
+                    f"line {lineno}: dimension must be positive, got {dim}")
+            yield lineno, (l1, l2, l3), dim
+        start = cut
+
+
 def parse_character(text: str) -> Character:
     """Parse the line-oriented character format.
 
@@ -54,32 +89,8 @@ def parse_character(text: str) -> Character:
     with ``#`` are comments; blank lines are ignored; entry order is
     irrelevant; a repeated weight is an error, and so is a non-str text.
     """
-    if not isinstance(text, str):
-        raise ValueError(f"text must be a str, got {type(text).__name__}")
     entries: Character = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        if "_" in line or not line.isascii():
-            raise CharacterFormatError(
-                f"line {lineno}: not an ASCII decimal integer in {raw!r}")
-        fields = line.split()
-        if len(fields) != 4:
-            raise CharacterFormatError(
-                f"line {lineno}: expected 'l1 l2 l3 dim', got {raw!r}"
-            )
-        try:
-            l1, l2, l3, dim = map(int, fields)
-        except ValueError:
-            raise CharacterFormatError(
-                f"line {lineno}: non-integer field in {raw!r}"
-            ) from None
-        if dim <= 0:
-            raise CharacterFormatError(
-                f"line {lineno}: dimension must be positive, got {dim}"
-            )
-        w = (l1, l2, l3)
+    for lineno, w, dim in character_entries(text):
         if w in entries:
             raise CharacterFormatError(f"line {lineno}: duplicate weight {w}")
         entries[w] = dim

@@ -6,6 +6,7 @@ convolution identities elsewhere are validated against plain counting.
 """
 
 from collections import Counter
+from collections.abc import Iterator
 from itertools import combinations_with_replacement, product, starmap
 from operator import add
 
@@ -28,29 +29,38 @@ def check_cap(m: int) -> None:
 
 
 def enumerate_character(m: int) -> Character:
-    """Character of the m-th symmetric power by enumerating every monomial.
+    """Character of the m-th symmetric power by enumerating every monomial:
+    the l1 = m - 2k plane of weights (l1, m - 2r, m - 2n) holds the counts
+    of character_planes(m) for k = 0..m."""
+    check_cap(m)
+    values, tally = range(m, -m - 1, -2), {}
+    for l1, plane in zip(values, character_planes(m)):
+        tally.update((w, count) for w, count
+                     in zip(product((l1,), values, values), plane) if count)
+    return tally
+
+
+def character_planes(m: int) -> Iterator[list[int]]:
+    """For k = 0..m, the number of degree-m monomials of weight
+    (m-2k, m-2r, m-2n) at index r*(m+1) + n of a list of (m+1)^2 counts.
 
     Splitting a degree-m monomial in the factors x[i,j,l] by i is a
     bijection onto the pairs of a size-(m - k) multiset from the block
     i = 0 and a size-k one from the block i = 1, k in 0..m.  Coding
     x[i,j,l] as j*b + l with b = m + 1, a pair's code sum is r*b + n with
-    r, n <= m < b its counts of factors with j = 1 and l = 1, so divmod
-    by b recovers them uniquely.  Each factor x[i,j,l] has weight
-    (1-2i, 1-2j, 1-2l), so the weight of the monomial is (m-2k, m-2r, m-2n).
-    Each of the C(m+7, 7) pairs adds one to its code's tally, with the sums
-    and tallies done in C (itertools, Counter).
+    r, n <= m < b its counts of factors with j = 1 and l = 1, which is the
+    index.  Each factor x[i,j,l] has weight (1-2i, 1-2j, 1-2l), so the
+    weight of the monomial is (m-2k, m-2r, m-2n).  Each of the C(m+7, 7)
+    pairs adds one to its code's tally, with the sums and tallies done in
+    C (itertools, Counter).
     """
     check_cap(m)
     b = m + 1
     sums = [list(map(sum, combinations_with_replacement((0, 1, b, b + 1), s)))
             for s in range(m + 1)]  # code sums of the size-s multisets
-    tally: Character = {}
     for k in range(m + 1):
         codes = Counter(starmap(add, product(sums[m - k], sums[k])))
-        for code, count in codes.items():
-            r, n = divmod(code, b)
-            tally[(m - 2 * k, m - 2 * r, m - 2 * n)] = count
-    return tally
+        yield [codes[code] for code in range(b * b)]
 
 
 def c2_bruteforce(r1: int) -> list[list[int]]:

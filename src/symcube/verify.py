@@ -4,6 +4,9 @@ disagreement; a function replaced on its module is the one checked.
 ``symcube verify`` runs CHECKS: (check, bound of the top power, report).
 """
 
+from itertools import starmap, zip_longest
+from operator import ne
+
 from . import characters, core, dims, multiplicity, oracle
 
 
@@ -46,11 +49,16 @@ def check_dimensions(top_m: int) -> int:
 
 
 def check_characters(top_m: int) -> int:
-    """Monomial enumeration vs the closed-form character of S^m, m <= top_m."""
+    """Monomial enumeration vs the closed-form character of S^m, m <= top_m,
+    one l1 plane of (m+1)^2 weights at a time."""
     core.check_power(top_m)
     for m in range(top_m + 1):
-        if oracle.enumerate_character(m) != \
-                characters.character_symmetric_power(m):
+        b, values = m + 1, range(m, -m - 1, -2)
+        enumerated = ((l1, l2, plane[i:i + b]) for l1, plane
+                      in zip(values, oracle.character_planes(m))
+                      for l2, i in zip(values, range(0, b * b, b)))
+        if any(starmap(ne, zip_longest(dims.weight_dimensions(m),
+                                       enumerated))):
             raise VerificationError(f"monomial enumeration differs from "
                                     f"closed-form character at m = {m}")
     return top_m + 1

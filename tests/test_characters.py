@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 import time
 import tracemalloc
@@ -8,7 +10,7 @@ from math import comb
 from operator import add
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from symcube import (
@@ -17,7 +19,9 @@ from symcube import (
     character_symmetric_power,
     dim_weight,
     greedy_decompose,
+    parse_character,
 )
+from symcube.cli import main
 
 labels = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 decompositions = st.dictionaries(labels, st.integers(1, 3), min_size=1, max_size=4)
@@ -347,3 +351,93 @@ class TestGreedyDecompose:
                 f"weight {w} would have multiplicity {corner_sum(c, w)}, the "
                 f"alternating sum over the eight corners {w} + {{0, 2}}^3")
             assert w == max(negative)
+
+
+def greedy_file(tmp_path, data):
+    """(exit code, stdout, stderr) of `symcube greedy` on a file holding
+    the bytes data."""
+    path = tmp_path / "in.char"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["greedy", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def by_whole_parse(data):
+    """greedy_file's result as a whole read and a whole-text parse give it:
+    the bytes decoded at once, split by text.splitlines() and rejoined
+    with "\\n" alone, then greedy_decompose(parse_character(text))."""
+    try:
+        text = "".join(line + "\n" for line in data.decode().splitlines())
+        dec = greedy_decompose(parse_character(text))
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    rows = "".join(f"{a} {b} {c} {x}\n" for (a, b, c), x in dec.items())
+    total = sum(x * (a + 1) * (b + 1) * (c + 1)
+                for (a, b, c), x in dec.items())
+    return 0, rows + f"total_dim = {total}\n", ""
+
+
+def character_text(c):
+    return "".join(f"{a} {b} {e} {d}\n" for (a, b, e), d in c.items())
+
+
+# every line break of str.splitlines but "\n", and CR, CRLF; the CLI reads
+# with universal newlines, which turn CR and CRLF into "\n"
+LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029", "\r", "\r\n"]
+
+
+class TestGreedyFile:
+    """`symcube greedy FILE` reads the file in one pass that keeps state
+    per sign orbit; its stdout, stderr and exit code are those of a whole
+    read followed by greedy_decompose(parse_character(text))."""
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS,
+                             ids=[f"U+{ord(b[0]):04X}" + "+LF" * (len(b) > 1)
+                                  for b in LINE_BREAKS])
+    @pytest.mark.parametrize("tail", [
+        "", "0 0 0 1\n", "# end\n0 0 x 1\n", "1 2 3\n", "10 -10 10 1\n"],
+        ids=["module", "duplicate", "non-integer", "three-fields", "asymmetric"])
+    def test_line_breaks_beyond_newline(self, tmp_path, brk, tail):
+        # S^10 is 1,331 lines of about 17 KiB, read in more than one slice;
+        # every other line ends in brk, and the tail's faults name a line
+        # past the slices
+        lines = character_text(character_symmetric_power(10)).splitlines()
+        text = "".join(line + (brk if i % 2 else "\n")
+                       for i, line in enumerate(lines)) + tail
+        data = text.encode()
+        assert greedy_file(tmp_path, data) == by_whole_parse(data)
+
+    def test_a_break_beyond_newline_splits_a_line(self, tmp_path):
+        assert greedy_file(tmp_path, "1 1 1 1\u20282 2 2 1".encode()) == (
+            2, "", "error: not a module character: weight (2, 2, -2) has "
+            "dimension 0, but (2, 2, 2), the same weight up to signs, has "
+            "1\n")
+        assert greedy_file(tmp_path, b"0 0 0 1\x1c# c\x0b0 0 0 1") == (
+            2, "", "error: line 3: duplicate weight (0, 0, 0)\n")
+
+    def test_undecodable_byte_after_a_malformed_line(self, tmp_path):
+        # the whole file is decoded before any line is read, so the decode
+        # error, which names the absolute byte position, comes first
+        head = ("0 0 x 1\n" + character_text(
+            character_symmetric_power(10))).encode()
+        assert len(head) > 8192
+        data = head + b"\xff\n"
+        code, out, err = greedy_file(tmp_path, data)
+        assert (code, out, err) == by_whole_parse(data)
+        assert err == (f"error: 'utf-8' codec can't decode byte 0xff in "
+                       f"position {len(head)}: invalid start byte\n")
+
+    @settings(max_examples=150, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(peel_inputs, st.randoms(use_true_random=False), st.booleans())
+    def test_shuffled_files_read_as_the_whole_parse(self, tmp_path, c, rng,
+                                                    repeated):
+        lines = character_text(c).splitlines(keepends=True)
+        if repeated and lines:
+            lines.append(rng.choice(lines))
+        rng.shuffle(lines)
+        data = "".join(lines).encode()
+        assert greedy_file(tmp_path, data) == by_whole_parse(data)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from symcube import cli, dims, verify
+from symcube import cli, dims, parse_character, verify
 from symcube.cli import main
 from symcube.core import check_power
 from symcube.multiplicity import character_lines
@@ -321,6 +322,9 @@ class _Discard:
     def write(self, text):
         return len(text)
 
+    def flush(self):
+        pass
+
 
 def dominant_dimensions(m: int) -> list[list[list[int]]]:
     """The cube cube[i][j][l] = C(m; sorted((i, j, l), reverse=True)) for
@@ -447,6 +451,23 @@ class TestClosedStdout:
         assert proc.stderr.read() == b""
         assert proc.wait(timeout=60) == 141
 
+    def test_closed_before_the_exit_flush_exits_141(self):
+        # as `symcube decompose 3 | (exec 0<&-; sleep 1)`: the whole output
+        # waits in stdout's buffer, which is block-buffered only without
+        # PYTHONUNBUFFERED, until the flush at the end of main
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "symcube.cli", "decompose", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**env, "PYTHONPATH": str(src)})
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
 
 class TestCharacter:
     def test_degree_one_has_eight_lines(self):
@@ -473,6 +494,32 @@ class TestCharacter:
 
 
 class TestGreedy:
+    def test_holds_less_than_a_quarter_of_the_parse(self, tmp_path):
+        # greedy FILE keeps the text and one state per sign orbit, 9,261 at
+        # S^40, where parse_character holds a dict of all 68,921 weights
+        # and a list of the lines; the file is the character in shuffled
+        # order, and the untraced warm-up pays the process's one-off costs
+        path = tmp_path / "s40.char"
+        write_character(path, 40)
+        lines = path.read_text().splitlines(keepends=True)
+        random.Random(40).shuffle(lines)
+        text = "".join(lines)
+        path.write_text(text)
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(["greedy", str(path)]) == 0
+        tracemalloc.start()
+        try:
+            parse_character(text)
+            parse_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with contextlib.redirect_stdout(_Discard()):
+                code = main(["greedy", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < parse_peak / 4, (peak, parse_peak)
+
     def test_single_irrep_file(self, tmp_path):
         path = tmp_path / "cube.char"
         write_character(path, 1)

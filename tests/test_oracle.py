@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 from itertools import product
 from math import comb
@@ -12,6 +13,7 @@ from symcube import (
     enumerate_character,
 )
 from symcube import characters, dims
+from symcube.oracle import character_planes
 from symcube.verify import (
     VerificationError,
     check_c2,
@@ -83,6 +85,14 @@ class TestEnumerateCharacter:
         with pytest.raises(OracleCapError, match="cap exceeded"):
             enumerate_character(21)
 
+    @pytest.mark.parametrize("m", [True, 2.5, "2", -1])
+    def test_malformed_power_rejected(self, m):
+        # by name, before any plane is enumerated
+        with pytest.raises(ValueError, match=r"power must be a non-negative"):
+            enumerate_character(m)
+        with pytest.raises(ValueError, match=r"power must be a non-negative"):
+            next(character_planes(m))
+
     @pytest.mark.parametrize("m", range(21))
     def test_totals(self, m):
         # one tally increment per monomial: the counts sum to C(m+7, 7)
@@ -106,18 +116,47 @@ class TestEnumerateCharacter:
         assert sum(enumerate_character(10).values()) == comb(17, 7)
 
     def test_detects_one_wrong_dimension_at_m_20(self, monkeypatch):
-        build = characters.character_symmetric_power
+        lines = dims.weight_dimensions
 
         def off_by_one(m):
-            c = build(m)
-            if m == 20:
-                c[(4, -2, 0)] += 1
-            return c
+            for l1, l2, row in lines(m):
+                if (m, l1, l2) == (20, 4, -2):
+                    row[10] += 1  # the weight (4, -2, 0)
+                yield l1, l2, row
 
-        monkeypatch.setattr(characters, "character_symmetric_power",
-                            off_by_one)
+        monkeypatch.setattr(dims, "weight_dimensions", off_by_one)
         with pytest.raises(VerificationError, match=r"at m = 20$"):
             check_characters(20)
+
+    @pytest.mark.parametrize("mutant", [
+        lambda lines: lines[:-1],
+        lambda lines: lines + lines[-1:],
+        lambda lines: [(l1, l2, row[:-1]) for l1, l2, row in lines],
+        lambda lines: [(l1, l2, row + [1]) for l1, l2, row in lines],
+        lambda lines: [(l1, -l2, row) for l1, l2, row in lines],
+    ], ids=["line-missing", "line-extra", "row-short", "row-long",
+            "l2-flipped"])
+    def test_names_a_misshapen_closed_form_at_its_power(self, monkeypatch,
+                                                        mutant):
+        # the check reads the closed form one l1 plane at a time: a line
+        # too few or too many, a row of another length, or a line under
+        # another head, is named at its power, here m = 7
+        lines = dims.weight_dimensions
+        monkeypatch.setattr(dims, "weight_dimensions", lambda m: iter(
+            mutant(list(lines(m))) if m == 7 else lines(m)))
+        with pytest.raises(VerificationError, match=r"at m = 7$"):
+            check_characters(9)
+
+    def test_check_holds_one_plane_at_a_time(self):
+        # the two whole S^20 characters peaked at 2.16 MB traced
+        check_characters(3)
+        tracemalloc.start()
+        try:
+            check_characters(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, peak
 
 
 @pytest.mark.parametrize(
