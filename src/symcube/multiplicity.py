@@ -11,21 +11,16 @@ one syzygy, which writes T^2 in the others (Briand, Luque and Thibon,
 basis, and multiplicity_sym counts those of degree m and the label's
 weight in O(1), reading no weight dimension.
 
-Full tables, and the character as prefix sums, run the same count one
-plane (one n1) at a time in O(m^2) ints, reading no weight dimension.
+_count_plane is the same count as rows, one plane (one n1) at a time in
+O(m^2) ints: both full tables and the character's prefix sums read it,
+and the tests pin each of its rows to multiplicity_sym.
 """
 
 from collections.abc import Iterator
-from itertools import accumulate, count
+from itertools import accumulate
 from operator import add, sub
 
 from .core import Decomposition, IrrepLabel, check_label, check_power
-
-
-def _count(low: int, h: int) -> int:
-    # the d of multiplicity_sym: max(0, ceil(-h / 2)) <= d <= (low - h) // 2,
-    # low = min(ni), whose floor subtracts c; a count <= 0 means none
-    return (low - h) // 2 + 1 - ((1 - h) // 2 if h < 1 else 0)
 
 
 def multiplicity_sym(m: int, label: IrrepLabel) -> int:
@@ -44,7 +39,10 @@ def multiplicity_sym(m: int, label: IrrepLabel) -> int:
     check_label(label)
     if any(v > m or (v - m) % 2 != 0 for v in label):
         return 0
-    return max(0, _count(min(label), (sum(label) - m) // 2))
+    h = (sum(label) - m) // 2
+    # max(0, ceil(-h / 2)) <= d <= (min(ni) - h) // 2, whose floor
+    # subtracts c; a count <= 0 means none
+    return max(0, (min(label) - h) // 2 + 1 - max(0, (1 - h) // 2))
 
 
 def decomposition_planes(m: int) -> Iterator[list[tuple[IrrepLabel, int]]]:
@@ -53,22 +51,15 @@ def decomposition_planes(m: int) -> Iterator[list[tuple[IrrepLabel, int]]]:
     Labels have components in {m mod 2, m mod 2 + 2, ..., m} (weights of
     the power lie in [-m, m]^3, so nothing outside can occur).  Yields,
     for n1 = m, m - 2, ..., the (label, mult) rows with first component n1
-    and mult != 0 in descending lexicographic order, each mult by _count,
-    as in multiplicity_sym, with h falling by 1 as n3 falls by 2.  Holds
+    and mult != 0 in descending lexicographic order: the non-zero counts of
+    _count_plane, whose co-indices 0, 1, ... are n = m, m - 2, ...  Holds
     one plane of rows, O(m^2) ints.  Raises ValueError on a malformed power.
     """
     check_power(m)
     values = range(m, -1, -2)
-    for n1 in values:
-        rows = []
-        for n2 in values:
-            # min and max as conditional expressions: under CPython 3.11
-            # they make this loop about 2.4 times faster
-            lo12 = n1 if n1 < n2 else n2
-            rows += [((n1, n2, n3), x) for n3, h in
-                     zip(values, count((n1 + n2) // 2, -1))
-                     if (x := _count(lo12 if lo12 < n3 else n3, h)) > 0]
-        yield rows
+    for a, n1 in enumerate(values):
+        yield [((n1, n2, n3), x) for n2, row in zip(values, _count_plane(m, a))
+               for n3, x in zip(values, row) if x]
 
 
 def decompose_symmetric_power(m: int) -> Decomposition:
@@ -77,16 +68,22 @@ def decompose_symmetric_power(m: int) -> Decomposition:
     return {label: x for rows in decomposition_planes(m) for label, x in rows}
 
 
-def _count_row(m: int, a: int, b: int, up: list[int]) -> list[int]:
-    # Counts at co-indices (m - ni) / 2 = (a, b, c), c <= m // 2, as slices
-    # of the half-ramp up.  With lo = min(a, b) and s = a + b, d <= (min(ni)
-    # - h) / 2 holds for min(c - s + 2 lo, s - c) // 2 + 1 of them on
-    # [s - 2 lo, s], less ceil((c - m + s) / 2) below -h / 2 for c > m - s.
-    lo, s, half, zeros = (a if a < b else b), a + b, m // 2, [0] * len(up)
-    row = (zeros[:s - 2 * lo] + up[:lo + 1] + up[:lo][::-1] + zeros)[:half + 1]
-    if m - s < half:
-        row = list(map(sub, row, zeros[:m - s + 1] + up[:half - m + s]))
-    return row
+def _count_plane(m: int, a: int) -> Iterator[list[int]]:
+    # Counts at co-indices (m - ni) / 2 = (a, b, c), one row of c <= m // 2
+    # for each b <= m // 2, as slices of the half-ramp up.  With lo =
+    # min(a, b) and s = a + b, d <= (min(ni) - h) / 2 holds for
+    # min(c - s + 2 lo, s - c) // 2 + 1 of them on [s - 2 lo, s], less
+    # ceil((c - m + s) / 2) below -h / 2 for c > m - s.
+    half = m // 2
+    up = [j // 2 + 1 for j in range(half + 1)]  # 1, 1, 2, 2, 3, ...
+    zeros = [0] * (half + 1)
+    for b in range(half + 1):
+        lo, s = (a if a < b else b), a + b
+        row = (zeros[:s - 2 * lo] + up[:lo + 1] + up[:lo][::-1]
+               + zeros)[:half + 1]
+        if m - s < half:
+            row = list(map(sub, row, zeros[:m - s + 1] + up[:half - m + s]))
+        yield row
 
 
 def character_lines(m: int) -> Iterator[tuple[int, int, list[int]]]:
@@ -97,16 +94,14 @@ def character_lines(m: int) -> Iterator[tuple[int, int, list[int]]]:
     subtracts them.  Raises ValueError on a malformed power."""
     check_power(m)
     half, values = m // 2, range(m, -m - 1, -2)
-    up = [j // 2 + 1 for j in range(half + 1)]  # 1, 1, 2, 2, 3, ...
     fold = [min(i, m - i) for i in range(m + 1)]  # co-index of m - 2i
     running, last = [[0] * (half + 1)] * (half + 1), -1
     for l1, a in zip(values, fold):
         if a != last:  # add plane a going down, subtract plane last going up
             op, k, last = (add, a, a) if a > last else (sub, last, a)
             prefix = [0] * (half + 1)  # row b of plane k's 2-D prefix sums
-            for b in range(half + 1):
-                row = accumulate(_count_row(m, k, b, up))
-                prefix = list(map(add, prefix, row))
+            for b, row in enumerate(_count_plane(m, k)):
+                prefix = list(map(add, prefix, accumulate(row)))
                 running[b] = list(map(op, running[b], prefix))
         for l2, b in zip(values, fold):  # l3 < 0 mirror l3 > 0
             yield l1, l2, running[b] + running[b][:m - half][::-1]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from symcube import cli, dims, parse_character, verify
+from symcube import cli, dims, multiplicity, parse_character, verify
 from symcube.cli import main
 from symcube.core import check_power
 from symcube.multiplicity import character_lines
@@ -381,19 +381,33 @@ class TestDecomposeStreams:
         assert peak < cube_peak / 4, (peak, cube_peak)
 
     def test_wrong_total_exits_3(self, monkeypatch):
-        real = cli.decomposition_planes
+        real_planes = cli.decomposition_planes
+        real_plane = multiplicity._count_plane
 
-        def off_by_one(m):
-            planes = list(real(m))
+        def wrong_planes(m):
+            planes = list(real_planes(m))
             (label, x), *rest = planes[2]
             planes[2] = [(label, x + 1), *rest]
             return planes
 
-        monkeypatch.setattr(cli, "decomposition_planes", off_by_one)
-        code, _, err = run(["decompose", "12"])
-        assert code == 3
-        assert err.startswith("mismatch: decomposition total_dim ")
-        assert err.endswith(f"!= C(m+7, 7) = {comb(19, 7)} at m = 12\n")
+        def wrong_plane(m, a):
+            rows = list(real_plane(m, a))
+            if (m, a) == (7, 1):
+                rows[2][3] += 1
+            return rows
+
+        # a wrong plane as the command reads it, and a wrong count in the
+        # row form that decompose shares with character
+        for module, name, wrong, m in (
+                (cli, "decomposition_planes", wrong_planes, 12),
+                (multiplicity, "_count_plane", wrong_plane, 7)):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, wrong)
+                code, _, err = run(["decompose", str(m)])
+            assert code == 3, name
+            assert err.startswith("mismatch: decomposition total_dim ")
+            assert err.endswith(
+                f"!= C(m+7, 7) = {comb(m + 7, 7)} at m = {m}\n"), err
 
 
 class TestCharacterRows:

@@ -85,7 +85,7 @@ class TestMultiplicitySym:
             raise AssertionError("the count read a weight dimension")
 
         for name in ("dim_weight", "dim_closed_form", "weight_dimensions",
-                     "_line_dimensions"):
+                     "_line_dimensions", "_regime"):
             monkeypatch.setattr(dims, name, refuse)
         assert multiplicity_sym(40, (4, 8, 8)) == 3
         dec = decompose_symmetric_power(40)
@@ -200,14 +200,13 @@ class TestCharacterLines:
     def test_count_rows_are_the_count_at_every_label(self, m):
         # the row form against the one scalar statement of the count
         half = m // 2
-        up = [j // 2 + 1 for j in range(half + 1)]
         for a in range(half + 1):
-            for b in range(half + 1):
-                labels = [(m - 2 * a, m - 2 * b, m - 2 * c)
-                          for c in range(half + 1)]
-                assert multiplicity._count_row(m, a, b, up) == [
-                    max(0, multiplicity._count(min(t), (sum(t) - m) // 2))
-                    for t in labels], (a, b)
+            rows = list(multiplicity._count_plane(m, a))
+            assert len(rows) == half + 1, a
+            for b, row in enumerate(rows):
+                assert row == [multiplicity_sym(m, (m - 2 * a, m - 2 * b,
+                                                    m - 2 * c))
+                               for c in range(half + 1)], (a, b)
 
     def test_reads_no_weight_dimension(self, monkeypatch):
         def refuse(*args):
@@ -231,14 +230,14 @@ class TestCheckCharacterLines:
         assert check_character_lines(20) == 21
 
     def test_detects_one_wrong_count_at_m_7(self, monkeypatch):
-        row = multiplicity._count_row
+        plane = multiplicity._count_plane
 
-        def off_by_one(m, a, b, up):
-            counts = row(m, a, b, up)
-            if (m, a, b) == (7, 1, 2):
-                counts[3] += 1
-            return counts
+        def off_by_one(m, a):
+            rows = list(plane(m, a))
+            if (m, a) == (7, 1):
+                rows[2][3] += 1
+            return rows
 
-        monkeypatch.setattr(multiplicity, "_count_row", off_by_one)
+        monkeypatch.setattr(multiplicity, "_count_plane", off_by_one)
         with pytest.raises(VerificationError, match=r"at m = 7$"):
             check_character_lines(10)
