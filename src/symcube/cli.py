@@ -243,8 +243,8 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -29,38 +29,38 @@ def check_cap(m: int) -> None:
 
 
 def enumerate_character(m: int) -> Character:
-    """Character of the m-th symmetric power by enumerating every monomial:
-    the l1 = m - 2k plane of weights (l1, m - 2r, m - 2n) holds the counts
-    of character_planes(m) for k = 0..m."""
+    """Character of S^m by enumeration: enumerated_lines(m) as one dict."""
     check_cap(m)
-    values, tally = range(m, -m - 1, -2), {}
-    for l1, plane in zip(values, character_planes(m)):
-        tally.update((w, count) for w, count
-                     in zip(product((l1,), values, values), plane) if count)
-    return tally
+    values = range(m, -m - 1, -2)
+    return {(l1, l2, l3): count for l1, l2, counts in enumerated_lines(m)
+            for l3, count in zip(values, counts) if count}
 
 
-def character_planes(m: int) -> Iterator[list[int]]:
-    """For k = 0..m, the number of degree-m monomials of weight
-    (m-2k, m-2r, m-2n) at index r*(m+1) + n of a list of (m+1)^2 counts.
+def enumerated_lines(m: int) -> Iterator[tuple[int, int, list[int]]]:
+    """The lines (l1, l2, counts) of dims.weight_dimensions(m), in order,
+    by enumeration: counts[n] monomials of degree m have weight
+    (l1, l2, m - 2n).
 
     Splitting a degree-m monomial in the factors x[i,j,l] by i is a
     bijection onto the pairs of a size-(m - k) multiset from the block
     i = 0 and a size-k one from the block i = 1, k in 0..m.  Coding
     x[i,j,l] as j*b + l with b = m + 1, a pair's code sum is r*b + n with
-    r, n <= m < b its counts of factors with j = 1 and l = 1, which is the
-    index.  Each factor x[i,j,l] has weight (1-2i, 1-2j, 1-2l), so the
-    weight of the monomial is (m-2k, m-2r, m-2n).  Each of the C(m+7, 7)
-    pairs adds one to its code's tally, with the sums and tallies done in
-    C (itertools, Counter).
+    r, n <= m < b its counts of factors with j = 1 and l = 1.  Each factor
+    x[i,j,l] has weight (1-2i, 1-2j, 1-2l), so the weight of the monomial
+    is (m-2k, m-2r, m-2n).  Each of the C(m+7, 7) pairs adds one to its
+    code's tally, with the sums and tallies done in C (itertools,
+    Counter).  The (m+1)^2 tallies of one k are listed once, as the plane
+    l1 = m - 2k, and cut into its m + 1 lines l2 = m - 2r.
     """
     check_cap(m)
-    b = m + 1
+    b, values = m + 1, range(m, -m - 1, -2)
     sums = [list(map(sum, combinations_with_replacement((0, 1, b, b + 1), s)))
-            for s in range(m + 1)]  # code sums of the size-s multisets
-    for k in range(m + 1):
+            for s in range(b)]  # code sums of the size-s multisets
+    for k, l1 in enumerate(values):
         codes = Counter(starmap(add, product(sums[m - k], sums[k])))
-        yield [codes[code] for code in range(b * b)]
+        plane = [codes[code] for code in range(b * b)]
+        for l2, i in zip(values, range(0, b * b, b)):
+            yield l1, l2, plane[i:i + b]
 
 
 def c2_bruteforce(r1: int) -> list[list[int]]:

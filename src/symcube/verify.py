@@ -48,29 +48,27 @@ def check_dimensions(top_m: int) -> int:
     return cases
 
 
+def _check_lines(top_m: int, lines, fault: str) -> int:
+    """lines(m) vs the closed-form lines of S^m, m <= top_m, streamed line
+    for line, so that neither route is held whole."""
+    core.check_power(top_m)
+    for m in range(top_m + 1):
+        if any(starmap(ne, zip_longest(dims.weight_dimensions(m), lines(m)))):
+            raise VerificationError(f"{fault} at m = {m}")
+    return top_m + 1
+
+
 def check_characters(top_m: int) -> int:
     """Monomial enumeration vs the closed-form character of S^m, m <= top_m,
     one l1 plane of (m+1)^2 weights at a time."""
-    core.check_power(top_m)
-    for m in range(top_m + 1):
-        b, values = m + 1, range(m, -m - 1, -2)
-        enumerated = ((l1, l2, plane[i:i + b]) for l1, plane
-                      in zip(values, oracle.character_planes(m))
-                      for l2, i in zip(values, range(0, b * b, b)))
-        if any(starmap(ne, zip_longest(dims.weight_dimensions(m),
-                                       enumerated))):
-            raise VerificationError(f"monomial enumeration differs from "
-                                    f"closed-form character at m = {m}")
-    return top_m + 1
+    return _check_lines(top_m, oracle.enumerated_lines, "monomial "
+                        "enumeration differs from closed-form character")
 
 
 def check_character_lines(top_m: int) -> int:
     """Covariant count prefix sums vs closed-form lines of S^m, m <= top_m."""
-    core.check_power(top_m)
-    for m in range(top_m + 1):
-        if [*multiplicity.character_lines(m)] != [*dims.weight_dimensions(m)]:
-            raise VerificationError(f"count prefix sums differ at m = {m}")
-    return top_m + 1
+    return _check_lines(top_m, multiplicity.character_lines,
+                        "count prefix sums differ")
 
 
 def check_greedy(top_m: int) -> int:

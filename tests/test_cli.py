@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -481,6 +482,22 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+class TestOutOfMemory:
+    def test_exits_2_with_one_error_line(self):
+        # the child alone runs in a 256 MiB address space, where
+        # `character 20000` cannot build its first count plane
+        src = Path(cli.__file__).resolve().parents[1]
+        limit = 256 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "symcube.cli", "character", "20000"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)))
+        # one line, the type's name since a MemoryError has no message
+        assert (proc.returncode, proc.stderr) == (2, b"error: MemoryError\n")
 
 
 class TestCharacter:

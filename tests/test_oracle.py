@@ -13,10 +13,11 @@ from symcube import (
     enumerate_character,
 )
 from symcube import characters, dims
-from symcube.oracle import character_planes
+from symcube.oracle import enumerated_lines
 from symcube.verify import (
     VerificationError,
     check_c2,
+    check_character_lines,
     check_characters,
     check_dimensions,
     check_greedy,
@@ -91,7 +92,7 @@ class TestEnumerateCharacter:
         with pytest.raises(ValueError, match=r"power must be a non-negative"):
             enumerate_character(m)
         with pytest.raises(ValueError, match=r"power must be a non-negative"):
-            next(character_planes(m))
+            next(enumerated_lines(m))
 
     @pytest.mark.parametrize("m", range(21))
     def test_totals(self, m):
@@ -138,14 +139,15 @@ class TestEnumerateCharacter:
             "l2-flipped"])
     def test_names_a_misshapen_closed_form_at_its_power(self, monkeypatch,
                                                         mutant):
-        # the check reads the closed form one l1 plane at a time: a line
+        # both line checks stream the closed form line for line: a line
         # too few or too many, a row of another length, or a line under
         # another head, is named at its power, here m = 7
         lines = dims.weight_dimensions
         monkeypatch.setattr(dims, "weight_dimensions", lambda m: iter(
             mutant(list(lines(m))) if m == 7 else lines(m)))
-        with pytest.raises(VerificationError, match=r"at m = 7$"):
-            check_characters(9)
+        for check in (check_characters, check_character_lines):
+            with pytest.raises(VerificationError, match=r"at m = 7$"):
+                check(9)
 
     def test_check_holds_one_plane_at_a_time(self):
         # the two whole S^20 characters peaked at 2.16 MB traced
@@ -160,7 +162,8 @@ class TestEnumerateCharacter:
 
 
 @pytest.mark.parametrize(
-    "check", [check_c2, check_dimensions, check_characters, check_greedy])
+    "check", [check_c2, check_dimensions, check_characters,
+              check_character_lines, check_greedy])
 @pytest.mark.parametrize("bound", [True, 3.0, -1, "2"])
 def test_checks_reject_a_bound_that_is_not_a_non_negative_int(check, bound):
     with pytest.raises(ValueError, match=re.escape(f"int, got {bound!r}")):
