@@ -32,10 +32,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    if "_" in text or not text.isascii() or text != text.strip():
-        raise argparse.ArgumentTypeError(
-            f"not an ASCII decimal integer: {text!r}")
-    return int(text)
+    try:
+        if "_" not in text and text.isascii() and text == text.strip():
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")
 
 
 def _nonneg(text: str) -> int:
@@ -100,15 +102,18 @@ def _cmd_mult(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    m, want = args.m, comb(args.m + 7, 7)
-    total = _render_decomposition(decomposition_planes(m), args.format, m=m)
-    # the rows are counts of covariant monomials, so this binomial shares
-    # no code with them
-    if total != want:
-        raise VerificationError(f"decomposition total_dim {total} != "
-                                f"C(m+7, 7) = {want} at m = {m}")
+def _check_total(name: str, total: int, m: int) -> int:
+    # exit code 0 if total is C(m+7, 7), which shares no code with the rows
+    if total != (want := comb(m + 7, 7)):
+        raise VerificationError(
+            f"{name} {total} != C(m+7, 7) = {want} at m = {m}")
     return 0
+
+
+def _cmd_decompose(args) -> int:
+    m = args.m
+    total = _render_decomposition(decomposition_planes(m), args.format, m=m)
+    return _check_total("decomposition total_dim", total, m)
 
 
 def _cmd_character(args) -> int:
@@ -136,7 +141,7 @@ def _cmd_character(args) -> int:
         lead = between
     if fmt == "json":
         out.write(f'], "total": {total}}}\n')
-    return 0
+    return _check_total("character total", total, m)
 
 
 def _cmd_greedy(args) -> int:

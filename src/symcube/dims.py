@@ -10,13 +10,13 @@ in the normalized position
 
     m/2 >= k >= r >= n >= 0,
 
-which normalized_index produces from an arbitrary weight: 23,426
-indices at m = 100, against (m+1)^3 = 1,030,301 weights.  A power's
-character, weight_dimensions(m), holds the dimensions at the dominant
-weights once per unordered pair of the co-indices (m - l) / 2 of the
-first two components: 1,326 rows of 51 values at m = 100, against the
-132,651 values of the full cube.  It mirrors each row to the negative
-components as it yields it.
+which dim_weight reaches from an arbitrary weight by sorting absolute
+values: 23,426 indices at m = 100, against (m+1)^3 = 1,030,301 weights.
+A power's character, weight_dimensions(m), holds the dimensions at the
+dominant weights once per unordered pair of the co-indices (m - l) / 2
+of the first two components, read under both orders: 1,326 rows of 51
+values at m = 100, against the 132,651 values of the full cube.  It
+mirrors each row to the negative components as it yields it.
 
 Two independent computations are provided:
 
@@ -175,18 +175,6 @@ def dim_closed_form(m: int, k: int, r: int, n: int) -> int:
     return _line_dimensions(m, k, r, n, n)[0]
 
 
-def normalized_index(m: int, w: Weight) -> tuple[int, int, int] | None:
-    """The normalized index (k, r, n) of the weight w of S^m, or None when
-    w lies outside [-m, m]^3 or has a component of parity different from
-    m (no weight of S^m)."""
-    a1, a2, a3 = sorted(map(abs, w))
-    if a3 > m or (m - a1) % 2 or (m - a2) % 2 or (m - a3) % 2:
-        return None
-    # Ascending absolute values give descending co-indices (m - |l|) / 2,
-    # each in [0, m/2]: the normalized position.
-    return (m - a1) // 2, (m - a2) // 2, (m - a3) // 2
-
-
 def weight_dimensions(m: int) -> Iterator[tuple[int, int, list[int]]]:
     """The dimensions of S^m at all (m+1)^3 weights, one line (l1, l2, *)
     of the weight cube at a time.
@@ -197,25 +185,23 @@ def weight_dimensions(m: int) -> Iterator[tuple[int, int, list[int]]]:
     positive.
     """
     check_power(m)
-    span = range(m // 2 + 1)
-    # rows[i][j], i >= j: C(m; sorted((i, j, l), reverse=True)) for l in
-    # span.  With i and j running downward, the positions j < l <= i and
-    # l > i read rows already built, so each normalized line is evaluated
-    # once.
-    rows: list[list[list[int]]] = [[[] for _ in range(i + 1)] for i in span]
-    for i in reversed(span):
-        for j in reversed(range(i + 1)):
-            rows[i][j] = (_line_dimensions(m, i, j, 0, j)
-                          + [rows[i][l][j] for l in range(j + 1, i + 1)]
-                          + [rows[l][i][j] for l in range(i + 1, len(span))])
+    half = m // 2
+    # rows[i][j] is rows[j][i]: C(m; sorted((i, j, l), reverse=True)) for
+    # 0 <= l <= m/2.  With i >= j running downward, the entries l > j read
+    # rows already built, so each normalized line is evaluated once.
+    rows: list[list[list[int]]] = [[[]] * (half + 1) for _ in range(half + 1)]
+    for i in range(half, -1, -1):
+        for j in range(i, -1, -1):
+            rows[i][j] = rows[j][i] = (
+                _line_dimensions(m, i, j, 0, j)
+                + [rows[i][l][j] for l in range(j + 1, half + 1)])
     # co-index (m - |m - 2i|) / 2 of the component m - 2i
     fold = [min(i, m - i) for i in range(m + 1)]
     values = range(m, -m - 1, -2)
     for l1, a in zip(values, fold):
         for l2, b in zip(values, fold):
-            row = rows[a][b] if a >= b else rows[b][a]
             # the negative components m - 2i, i > m/2, mirror the positive
-            yield l1, l2, row + row[:m - m // 2][::-1]
+            yield l1, l2, rows[a][b] + rows[a][b][:m - half][::-1]
 
 
 def dim_weight(m: int, w: Weight) -> int:
@@ -224,10 +210,15 @@ def dim_weight(m: int, w: Weight) -> int:
     Zero for weights outside [-m, m]^3 or with a component of parity
     different from m.  Invariant under permuting components and flipping
     their signs; the implementation uses both symmetries to reach the
-    normalized index and evaluates dim_closed_form there.  A point query:
+    normalized index and evaluates the closed form there.  A point query:
     tables over all weights of a power read weight_dimensions instead.
     """
     check_power(m)
     check_weight(w)
-    index = normalized_index(m, w)
-    return 0 if index is None else dim_closed_form(m, *index)
+    a1, a2, a3 = sorted(map(abs, w))
+    if a3 > m or (m - a1) % 2 or (m - a2) % 2 or (m - a3) % 2:
+        return 0
+    # Ascending absolute values give descending co-indices (m - |l|) / 2,
+    # each in [0, m/2]: the normalized position.
+    k, r, n = (m - a1) // 2, (m - a2) // 2, (m - a3) // 2
+    return _line_dimensions(m, k, r, n, n)[0]

@@ -409,6 +409,14 @@ class TestDecomposeStreams:
             assert err.startswith("mismatch: decomposition total_dim ")
             assert err.endswith(
                 f"!= C(m+7, 7) = {comb(m + 7, 7)} at m = {m}\n"), err
+        # the character sums the same wrong count, and says so after its
+        # output in every format
+        monkeypatch.setattr(multiplicity, "_count_plane", wrong_plane)
+        for fmt, lines in (("text", 512), ("json", 1), ("csv", 513)):
+            code, out, err = run(["character", "7", "--format", fmt])
+            assert (code, err) == (3, "mismatch: character total 3480 != "
+                                      "C(m+7, 7) = 3432 at m = 7\n"), fmt
+            assert out.count("\n") == lines, fmt
 
 
 class TestCharacterRows:
@@ -704,6 +712,11 @@ class TestUsageErrors:
         ["mult", "4", "0", "0", "0\u00a0"],
         ["character", "\uff12"],
         ["verify", "--max-m", "1_2"],
+        ["dim", "2", "x", "0", "0"],
+        ["decompose", ""],
+        ["dim", "2", "-", "0", "0"],
+        ["mult", "4", "0", "0", "0x1"],
+        ["verify", "--max-m", "1.5"],
     ])
     def test_not_an_ascii_decimal(self, argv):
         code, out, err = run(argv)

@@ -296,6 +296,22 @@ class TestDimWeight:
             with pytest.raises(ValueError, match="three ints"):
                 dim_weight(2, w)
 
+    @pytest.mark.parametrize("m", [10**12, 10**12 + 1])
+    def test_point_query_at_a_huge_power_reads_no_table(self, monkeypatch, m):
+        # one normalized index per regime; the table would hold (m/2)^2 rows
+        def refuse(*args):
+            raise AssertionError("a point query read the table")
+
+        monkeypatch.setattr(dims, "weight_dimensions", refuse)
+        h = m // 2
+        for (k, r, n), regime in (((h, 3, 2), "I"),
+                                  ((h // 2, h // 2 - 1, 5), "II"),
+                                  ((h, h - 1, h - 3), "III")):
+            assert polynomial_case(m, k, r, n).split(".")[0] == regime
+            want = dim_closed_form(m, k, r, n)
+            assert dim_weight(m, (m - 2 * k, m - 2 * r, m - 2 * n)) == want
+            assert dim_weight(m, (2 * n - m, m - 2 * k, 2 * r - m)) == want
+
     def test_permutation_and_sign_invariance(self):
         rng = random.Random(7)
         for _ in range(300):
