@@ -13,8 +13,8 @@ from symcube import (
     convolution_bruteforce,
     dim_by_convolution,
     dim_closed_form,
-    enumerate_character,
 )
+from symcube.oracle import enumerated_lines
 from symcube.verify import check_characters
 
 # 2x2 contingency matrices: count matrices with a given total, second-row
@@ -47,6 +47,9 @@ for idx in [(8, 3, 2, 2), (11, 5, 4, 1), (40, 18, 16, 16)]:
 check_characters(8)
 print("\nmonomial enumeration == closed-form characters for m <= 8")
 
-counts = enumerate_character(6)
+# The enumeration yields the character line by line: counts[n] monomials
+# of degree 6 have weight (l1, l2, 6 - 2n).
+lines = {(l1, l2): counts for l1, l2, counts in enumerated_lines(6)}
 print("a few S^6 weight spaces by raw count:",
-      {w: counts[w] for w in [(6, 6, 6), (4, 4, 2), (0, 0, 0)]})
+      {(l1, l2, l3): lines[l1, l2][(6 - l3) // 2]
+       for l1, l2, l3 in [(6, 6, 6), (4, 4, 2), (0, 0, 0)]})

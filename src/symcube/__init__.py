@@ -20,7 +20,6 @@ from .core import (
     Decomposition,
     IrrepLabel,
     Weight,
-    parse_character,
 )
 from .dims import (
     c2,
@@ -34,7 +33,6 @@ from .oracle import (
     OracleCapError,
     c2_bruteforce,
     convolution_bruteforce,
-    enumerate_character,
 )
 
 __all__ = [
@@ -54,9 +52,7 @@ __all__ = [
     "dim_by_convolution",
     "dim_closed_form",
     "dim_weight",
-    "enumerate_character",
     "greedy_decompose",
     "multiplicity_sym",
-    "parse_character",
     "polynomial_case",
 ]

@@ -16,7 +16,7 @@ from .dims import dim_weight
 from .multiplicity import (character_lines, decomposition_planes,
                            multiplicity_sym)
 from .oracle import ENUMERATION_CAP, check_cap
-from .verify import CHECKS, GREEDY_CAP, VerificationError
+from .verify import CHECKS, VerificationError
 
 # the top power of `symcube verify` by --mode, when --max-m is not given
 _DEFAULT_TOP = {"ci": 12, "extended": ENUMERATION_CAP}
@@ -219,9 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="cross-check the formulas against brute-force counts"
     )
     p.add_argument("--max-m", type=_nonneg, help=(
-        "largest power for both character comparisons, and min(--max-m, "
-        f"{GREEDY_CAP}) for the greedy check (default: {_DEFAULT_TOP['ci']} "
-        f"in ci mode, {_DEFAULT_TOP['extended']} in extended mode)"))
+        "largest power for the character and decomposition comparisons "
+        f"(default: {_DEFAULT_TOP['ci']} in ci mode, "
+        f"{_DEFAULT_TOP['extended']} in extended mode)"))
     p.add_argument(
         "--mode", choices=tuple(_DEFAULT_TOP), default="ci",
         help="preset verification depth (default: ci)",

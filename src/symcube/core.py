@@ -9,7 +9,9 @@ module V(n1) (x) V(n2) (x) V(n3) is named by its highest weight
 A character is a sparse dict from weight to weight-space dimension, a
 decomposition is a sparse dict from irreducible label to multiplicity.
 Both store strictly positive counts only, so dict equality is equality
-of the objects described and "is zero" is plain emptiness.
+of the objects described and "is zero" is plain emptiness.  A character
+text is read as a stream of entries by character_entries; a repeated
+weight is named by characters.decompose_entries, which reads them.
 
 Counts are Python ints and therefore exact at any size.  Every function
 here is pure and all values are immutable once built, so concurrent use
@@ -50,9 +52,14 @@ def check_label(label: IrrepLabel) -> None:
 
 def character_entries(text: str) -> Iterator[tuple[int, Weight, int]]:
     """(lineno, weight, dim) of each entry of a character text, in order;
-    CharacterFormatError at the first malformed line.  Lines are split an
-    8 KiB slice at a time, cut after a "\\n", which ends a line under
-    every break str.splitlines knows, so no list of all lines is held."""
+    CharacterFormatError at the first malformed line.
+
+    One entry per line: four whitespace-separated ASCII decimal integers
+    ``l1 l2 l3 dim`` (sign allowed, no ``_``) with dim > 0.  Lines starting
+    with ``#`` are comments and blank lines are skipped; a non-str text is
+    a ValueError.  Lines are split an 8 KiB slice at a time, cut after a
+    "\\n", which ends a line under every break str.splitlines knows, so no
+    list of all lines is held."""
     if not isinstance(text, str):
         raise ValueError(f"text must be a str, got {type(text).__name__}")
     lineno = start = 0
@@ -79,19 +86,3 @@ def character_entries(text: str) -> Iterator[tuple[int, Weight, int]]:
                     f"line {lineno}: dimension must be positive, got {dim}")
             yield lineno, (l1, l2, l3), dim
         start = cut
-
-
-def parse_character(text: str) -> Character:
-    """Parse the line-oriented character format.
-
-    One entry per line: four whitespace-separated ASCII decimal integers
-    ``l1 l2 l3 dim`` (sign allowed, no ``_``) with dim > 0.  Lines starting
-    with ``#`` are comments; blank lines are ignored; entry order is
-    irrelevant; a repeated weight is an error, and so is a non-str text.
-    """
-    entries: Character = {}
-    for lineno, w, dim in character_entries(text):
-        if w in entries:
-            raise CharacterFormatError(f"line {lineno}: duplicate weight {w}")
-        entries[w] = dim
-    return entries

@@ -3,6 +3,8 @@
 Everything here counts the defined sets by direct enumeration, with no
 formula beyond non-negativity bounds, so that the closed forms and the
 convolution identities elsewhere are validated against plain counting.
+The character of S^m comes as enumerated_lines(m), in the line shape
+of dims.weight_dimensions(m), so that no dict of all weights is built.
 """
 
 from collections import Counter
@@ -10,7 +12,7 @@ from collections.abc import Iterator
 from itertools import combinations_with_replacement, product, starmap
 from operator import add
 
-from .core import Character, check_power
+from .core import check_power
 
 ENUMERATION_CAP = 20  # largest power enumerated: C(27, 7) = 888,030 monomials
 
@@ -26,14 +28,6 @@ def check_cap(m: int) -> None:
     if m > ENUMERATION_CAP:
         raise OracleCapError(
             f"oracle cap exceeded: m={m} > cap={ENUMERATION_CAP}")
-
-
-def enumerate_character(m: int) -> Character:
-    """Character of S^m by enumeration: enumerated_lines(m) as one dict."""
-    check_cap(m)
-    values = range(m, -m - 1, -2)
-    return {(l1, l2, l3): count for l1, l2, counts in enumerated_lines(m)
-            for l3, count in zip(values, counts) if count}
 
 
 def enumerated_lines(m: int) -> Iterator[tuple[int, int, list[int]]]:

@@ -4,7 +4,7 @@ disagreement; a function replaced on its module is the one checked.
 ``symcube verify`` runs CHECKS: (check, bound of the top power, report).
 """
 
-from itertools import starmap, zip_longest
+from itertools import chain, starmap, zip_longest
 from operator import ne
 
 from . import characters, core, dims, multiplicity, oracle
@@ -29,14 +29,16 @@ def check_c2(top_r1: int) -> int:
 
 
 def check_dimensions(top_m: int) -> int:
-    """Three routes to every weight dimension C(m; k, r, n), m <= top_m."""
+    """Three routes to every weight dimension C(m; k, r, n), m <= top_m,
+    the closed form by dim_weight at an unsorted, sign-flipped weight."""
     core.check_power(top_m)
     cases = 0
     for m in range(top_m + 1):
         for k in range(m // 2 + 1):
             for r in range(k + 1):
                 for n in range(r + 1):
-                    closed = dims.dim_closed_form(m, k, r, n)
+                    closed = dims.dim_weight(m, (m - 2 * n, 2 * k - m,
+                                                 m - 2 * r))
                     conv = dims.dim_by_convolution(m, k, r, n)
                     pairs = oracle.convolution_bruteforce(m, k, r, n)
                     if not closed == conv == pairs:
@@ -72,20 +74,23 @@ def check_character_lines(top_m: int) -> int:
 
 
 def check_greedy(top_m: int) -> int:
-    """Greedy (eight-corner sums of the closed-form character) vs covariant
-    count decomposition of S^m, m <= top_m."""
+    """Greedy (eight-corner sums of the closed-form character, read as
+    ``symcube greedy`` reads a file) vs the covariant count rows that
+    ``symcube decompose`` prints, in order, of S^m, m <= top_m."""
     core.check_power(top_m)
     for m in range(top_m + 1):
-        character = characters.character_symmetric_power(m)
-        if characters.greedy_decompose(character) != \
-                multiplicity.decompose_symmetric_power(m):
+        values = range(m, -m - 1, -2)
+        greedy = characters.decompose_entries(
+            (0, (l1, l2, l3), d) for l1, l2, row in dims.weight_dimensions(m)
+            for l3, d in zip(values, row))
+        rows = chain.from_iterable(multiplicity.decomposition_planes(m))
+        if any(starmap(ne, zip_longest(greedy.items(), rows))):
             raise VerificationError(
                 f"greedy (eight-corner sums of the closed-form character) vs "
                 f"covariant count decompositions differ at m = {m}")
     return top_m + 1
 
 
-GREEDY_CAP = 10  # the top power of check_greedy in CHECKS, at most
 CHECKS = (
     (check_c2, lambda top: 40,
      "2x2 matrix counts: closed form == brute force for r1 <= {0}"),
@@ -96,6 +101,6 @@ CHECKS = (
      "characters: monomial enumeration == closed forms for m <= {0}"),
     (check_character_lines, lambda top: top,
      "characters: covariant count prefix sums == closed forms for m <= {0}"),
-    (check_greedy, lambda top: min(top, GREEDY_CAP),
+    (check_greedy, lambda top: top,
      "decompositions: greedy == covariant count for m <= {0}"),
 )

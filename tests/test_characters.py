@@ -19,9 +19,9 @@ from symcube import (
     character_symmetric_power,
     dim_weight,
     greedy_decompose,
-    parse_character,
 )
 from symcube.cli import main
+from test_core import parse_character_reference
 
 labels = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 decompositions = st.dictionaries(labels, st.integers(1, 3), min_size=1, max_size=4)
@@ -367,10 +367,11 @@ def greedy_file(tmp_path, data):
 def by_whole_parse(data):
     """greedy_file's result as a whole read and a whole-text parse give it:
     the bytes decoded at once, split by text.splitlines() and rejoined
-    with "\\n" alone, then greedy_decompose(parse_character(text))."""
+    with "\\n" alone, then greedy_decompose of
+    parse_character_reference(text)."""
     try:
         text = "".join(line + "\n" for line in data.decode().splitlines())
-        dec = greedy_decompose(parse_character(text))
+        dec = greedy_decompose(parse_character_reference(text))
     except ValueError as exc:
         return 2, "", f"error: {exc}\n"
     rows = "".join(f"{a} {b} {c} {x}\n" for (a, b, c), x in dec.items())
@@ -392,7 +393,8 @@ LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
 class TestGreedyFile:
     """`symcube greedy FILE` reads the file in one pass that keeps state
     per sign orbit; its stdout, stderr and exit code are those of a whole
-    read followed by greedy_decompose(parse_character(text))."""
+    read followed by greedy_decompose of
+    parse_character_reference(text)."""
 
     @pytest.mark.parametrize("brk", LINE_BREAKS,
                              ids=[f"U+{ord(b[0]):04X}" + "+LF" * (len(b) > 1)

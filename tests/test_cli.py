@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from symcube import cli, dims, multiplicity, parse_character, verify
+from symcube import cli, dims, multiplicity, verify
 from symcube.cli import main
-from symcube.core import check_power
+from symcube.core import character_entries, check_power
 from symcube.multiplicity import character_lines
 
 
@@ -535,9 +535,9 @@ class TestCharacter:
 class TestGreedy:
     def test_holds_less_than_a_quarter_of_the_parse(self, tmp_path):
         # greedy FILE keeps the text and one state per sign orbit, 9,261 at
-        # S^40, where parse_character holds a dict of all 68,921 weights
-        # and a list of the lines; the file is the character in shuffled
-        # order, and the untraced warm-up pays the process's one-off costs
+        # S^40, against a dict of all 68,921 weights read from the same
+        # entries; the file is the character in shuffled order, and the
+        # untraced warm-up pays the process's one-off costs
         path = tmp_path / "s40.char"
         write_character(path, 40)
         lines = path.read_text().splitlines(keepends=True)
@@ -548,7 +548,7 @@ class TestGreedy:
             assert main(["greedy", str(path)]) == 0
         tracemalloc.start()
         try:
-            parse_character(text)
+            {w: d for _, w, d in character_entries(text)}
             parse_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             with contextlib.redirect_stdout(_Discard()):
@@ -612,6 +612,31 @@ class TestVerify:
         assert err == ("mismatch: c2 vs brute force at "
                        "(r1, r2, r3) = (1, 0, 0)\n")
 
+    @pytest.mark.parametrize("order", [
+        lambda w: sorted(map(abs, w), reverse=True),
+        lambda w: list(map(abs, w)),
+        sorted,
+    ], ids=["descending", "unsorted", "no-abs"])
+    def test_a_dim_weight_off_the_normalized_index_exits_3(self, monkeypatch,
+                                                           order):
+        # dim_weight, the route `symcube dim` runs, with its absolute values
+        # in another order; verify reads it at an unsorted, sign-flipped
+        # image of each normalized index
+        line = dims._line_dimensions
+
+        def dim_weight(m, w):
+            a1, a2, a3 = order(w)
+            if a3 > m or (m - a1) % 2 or (m - a2) % 2 or (m - a3) % 2:
+                return 0
+            k, r, n = (m - a1) // 2, (m - a2) // 2, (m - a3) // 2
+            return line(m, k, r, n, n)[0]
+
+        monkeypatch.setattr(dims, "dim_weight", dim_weight)
+        code, out, err = run(["verify"])
+        assert code == 3 and "all checks passed" not in out
+        assert err.startswith(
+            "mismatch: dimensions diverge at (m, k, r, n) = "), err
+
 
     @pytest.mark.parametrize("argv,top", [
         ([], 12),
@@ -628,7 +653,7 @@ class TestVerify:
             f"characters: monomial enumeration == closed forms for m <= {top}\n"
             "characters: covariant count prefix sums == closed forms for "
             f"m <= {top}\n"
-            "decompositions: greedy == covariant count for m <= 10\n"
+            f"decompositions: greedy == covariant count for m <= {top}\n"
             "all checks passed\n"), "")
 
     def test_runs_and_reports_the_table_in_order(self, monkeypatch):
@@ -661,13 +686,11 @@ class TestVerify:
             main(["verify", "--help"])
         assert info.value.code == 0
         # argparse wraps the help to the terminal width
-        assert ("--max-m MAX_M largest power for both character "
-                "comparisons, and min(--max-m, 10) for the greedy check "
-                "(default: 12 in ci mode, 20 in extended mode)") in \
-            " ".join(capsys.readouterr().out.split())
+        assert ("--max-m MAX_M largest power for the character and "
+                "decomposition comparisons (default: 12 in ci mode, 20 in "
+                "extended mode)") in " ".join(capsys.readouterr().out.split())
         # the bounds that the help names are the ones that run
-        assert verify.GREEDY_CAP == 10
-        assert [bound(12) for _, bound, _ in verify.CHECKS[2:]] == [12, 12, 10]
+        assert [bound(12) for _, bound, _ in verify.CHECKS[2:]] == [12, 12, 12]
         assert [check.__name__ for check, _, _ in verify.CHECKS[2:]] == [
             "check_characters", "check_character_lines", "check_greedy"]
 

@@ -9,9 +9,11 @@ from symcube import (
     CharacterFormatError,
     character_irrep,
     character_symmetric_power,
-    parse_character,
+    greedy_decompose,
 )
+from symcube.characters import decompose_entries
 from symcube.cli import main
+from symcube.core import character_entries
 
 
 class TestDimensions:
@@ -57,6 +59,20 @@ def parse_character_reference(text):
             raise CharacterFormatError(f"line {lineno}: duplicate weight {w}")
         entries[w] = dim
     return entries
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def greedy(tmp_path, text):
+    """(exit code, stdout, stderr) of `symcube greedy` on a file of text."""
+    path = tmp_path / "in.char"
+    path.write_text(text)
+    return run(["greedy", str(path)])
 
 
 def outcome(parse, text):
@@ -109,34 +125,45 @@ class TestCharacterFile:
     @example("\u0661 1 1 1\n")
     @example("+1 -0 0 -1\n")
     def test_same_result_as_the_reference_parser(self, text):
-        assert outcome(parse_character, text) == \
-            outcome(parse_character_reference, text)
+        # `symcube greedy` reads the entries of character_entries into
+        # decompose_entries, which names a repeated weight: the first
+        # format fault or repeat is named at its line, as the reference
+        # names it, and a text with neither has the reference's entries
+        assert outcome(lambda t: decompose_entries(character_entries(t)),
+                       text) == \
+            outcome(lambda t: greedy_decompose(parse_character_reference(t)),
+                    text)
+        reference = outcome(parse_character_reference, text)
+        if isinstance(reference, dict):
+            assert [(w, d) for _, w, d in character_entries(text)] == \
+                list(reference.items())
 
     def test_parse_basic(self):
         text = "# a comment\n1 1 1 1\n-1 -1 -1 1\n\n"
-        assert parse_character(text) == {(1, 1, 1): 1, (-1, -1, -1): 1}
+        assert list(character_entries(text)) == [
+            (2, (1, 1, 1), 1), (3, (-1, -1, -1), 1)]
 
-    def test_duplicate_weight(self):
-        with pytest.raises(CharacterFormatError, match="duplicate"):
-            parse_character("0 0 0 1\n0 0 0 2\n")
+    def test_duplicate_weight(self, tmp_path):
+        assert greedy(tmp_path, "0 0 0 1\n0 0 0 2\n") == (
+            2, "", "error: line 2: duplicate weight (0, 0, 0)\n")
 
     def test_nonpositive_dim(self):
         with pytest.raises(CharacterFormatError, match="positive"):
-            parse_character("0 0 0 0\n")
+            list(character_entries("0 0 0 0\n"))
 
     def test_wrong_field_count(self):
         with pytest.raises(CharacterFormatError):
-            parse_character("0 0 0\n")
+            list(character_entries("0 0 0\n"))
 
     def test_non_integer(self):
         with pytest.raises(CharacterFormatError):
-            parse_character("0 0 x 1\n")
+            list(character_entries("0 0 x 1\n"))
 
     @pytest.mark.parametrize("line", ["1_0 0 0 1", "0 0 0 1_0",
                                       "\u0661 1 1 1", "1\u00a01 1 1"])
     def test_only_ascii_decimal_digits(self, line):
         with pytest.raises(CharacterFormatError, match="^line 2: "):
-            parse_character(f"# comment \u00e9\n{line}\n")
+            list(character_entries(f"# comment \u00e9\n{line}\n"))
 
     @pytest.mark.parametrize("text,kind", [(None, "NoneType"),
                                            (b"0 0 0 1", "bytes"),
@@ -144,13 +171,13 @@ class TestCharacterFile:
     def test_text_that_is_not_a_str_rejected(self, text, kind):
         with pytest.raises(ValueError,
                            match=f"^text must be a str, got {kind}$"):
-            parse_character(text)
+            next(character_entries(text))
 
-    def test_round_trip(self):
-        # `symcube character m` writes the format parse_character reads
+    def test_round_trip(self, tmp_path):
+        # `symcube character m` writes the format `symcube greedy` reads
         for m in range(6):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert main(["character", str(m)]) == 0
-            assert parse_character(out.getvalue()) == \
-                character_symmetric_power(m)
+            code, out, _ = run(["character", str(m)])
+            assert code == 0
+            assert [(w, d) for _, w, d in character_entries(out)] == \
+                list(character_symmetric_power(m).items())
+            assert greedy(tmp_path, out) == run(["decompose", str(m)])

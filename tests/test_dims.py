@@ -17,10 +17,10 @@ from symcube import (
     dim_by_convolution,
     dim_closed_form,
     dim_weight,
-    enumerate_character,
     polynomial_case,
 )
 from symcube import dims
+from symcube.oracle import enumerated_lines
 
 # One normalized index per closed-form branch, in the order of
 # polynomial_case's docstring, at the largest powers sampled below.
@@ -287,7 +287,8 @@ class TestDimWeight:
         assert dim_weight(2, (100, 100, 100)) == 0
 
     def test_rejects_negative_power(self):
-        for f in (lambda m: dim_weight(m, (1, 1, 1)), enumerate_character,
+        for f in (lambda m: dim_weight(m, (1, 1, 1)),
+                  lambda m: next(enumerated_lines(m)),
                   character_symmetric_power, decompose_symmetric_power):
             for m in (-1, 2.0, True):
                 with pytest.raises(ValueError, match=f"got {m!r}"):

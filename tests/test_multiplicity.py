@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import permutations
 from math import comb
@@ -11,7 +12,7 @@ from symcube import (
     decompose_symmetric_power,
     multiplicity_sym,
 )
-from symcube import dims, multiplicity
+from symcube import characters, dims, multiplicity, verify
 from symcube.multiplicity import character_lines, decomposition_planes
 from symcube.verify import (
     VerificationError,
@@ -173,22 +174,55 @@ class TestDecompositionPlanes:
 class TestCheckGreedy:
     def test_count_matches_the_corner_sums_to_m_30(self):
         # the eight-corner sums of the closed-form character are the route
-        # independent of the covariant count; verify runs it to m = 10 only
+        # independent of the covariant count
         assert check_greedy(30) == 31
 
     def test_detects_one_wrong_multiplicity_at_m_7(self, monkeypatch):
-        build = multiplicity.decompose_symmetric_power
+        planes = multiplicity.decomposition_planes
 
         def off_by_one(m):
-            dec = build(m)
-            if m == 7:
-                dec[(3, 3, 1)] += 1
-            return dec
+            for rows in planes(m):
+                if m == 7:
+                    rows = [(label, x + (label == (3, 3, 1)))
+                            for label, x in rows]
+                yield rows
 
-        monkeypatch.setattr(multiplicity, "decompose_symmetric_power",
-                            off_by_one)
+        monkeypatch.setattr(multiplicity, "decomposition_planes", off_by_one)
         with pytest.raises(VerificationError, match=r"at m = 7$"):
             check_greedy(10)
+
+    def test_names_planes_with_their_rows_reversed(self, monkeypatch):
+        # the rows `symcube decompose` prints, compared in order: the same
+        # labels and multiplicities in another order are named, here first
+        # at m = 2, whose plane n1 = 2 holds two rows
+        planes = multiplicity.decomposition_planes
+        monkeypatch.setattr(multiplicity, "decomposition_planes",
+                            lambda m: (rows[::-1] for rows in planes(m)))
+        with pytest.raises(VerificationError, match=r"at m = 2$"):
+            check_greedy(10)
+
+    def test_reads_only_the_streamed_routes(self, monkeypatch):
+        # every check at ci depth, with the dict builders refused
+        def refuse(*args):
+            raise AssertionError("a check built a whole dict")
+
+        monkeypatch.setattr(characters, "character_symmetric_power", refuse)
+        monkeypatch.setattr(characters, "greedy_decompose", refuse)
+        monkeypatch.setattr(multiplicity, "decompose_symmetric_power", refuse)
+        assert [check(bound(12)) for check, bound, _ in verify.CHECKS] == [
+            sum((r1 + 1) ** 2 for r1 in range(41)), 825, 13, 13, 13]
+
+    def test_holds_one_plane_at_a_time(self):
+        # the two whole S^20 decompositions and the character dict peaked
+        # at 1.94 MB traced
+        check_greedy(3)
+        tracemalloc.start()
+        try:
+            check_greedy(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, peak
 
 
 class TestCharacterLines:

@@ -6,12 +6,7 @@ from math import comb
 
 import pytest
 
-from symcube import (
-    OracleCapError,
-    c2_bruteforce,
-    convolution_bruteforce,
-    enumerate_character,
-)
+from symcube import OracleCapError, c2_bruteforce, convolution_bruteforce
 from symcube import characters, dims
 from symcube.oracle import enumerated_lines
 from symcube.verify import (
@@ -47,6 +42,14 @@ def character_by_definition(m):
         for e in exponents_up_to(m, 7))
 
 
+def lines_of(c, m):
+    """The lines (l1, l2, counts) of the weight cube of S^m in the order of
+    dims.weight_dimensions(m), counts[n] = c.get((l1, l2, m - 2n), 0)."""
+    values = range(m, -m - 1, -2)
+    return [(l1, l2, [c.get((l1, l2, l3), 0) for l3 in values])
+            for l1 in values for l2 in values]
+
+
 def convolution_by_full_loop(m, k, r, n):
     """The pair count with no bounds worked out: every entry of both blocks
     enumerated, the tuples with a000 < 0 or a100 < 0 skipped."""
@@ -70,40 +73,42 @@ def convolution_by_full_loop(m, k, r, n):
 
 class TestEnumerateCharacter:
     def test_degree_zero(self):
-        assert enumerate_character(0) == {(0, 0, 0): 1}
+        assert list(enumerated_lines(0)) == [(0, 0, [1])]
 
     def test_degree_one(self):
         want = {(s1, s2, s3): 1 for s1 in (1, -1)
                 for s2 in (1, -1) for s3 in (1, -1)}
-        assert enumerate_character(1) == want
+        assert list(enumerated_lines(1)) == lines_of(want, 1)
 
     def test_degree_two_origin(self):
-        c = enumerate_character(2)
-        assert c[(0, 0, 0)] == 4
-        assert sum(c.values()) == comb(9, 7)
+        lines = list(enumerated_lines(2))
+        assert lines[4] == (0, 0, [2, 4, 2])
+        assert sum(sum(counts) for _, _, counts in lines) == comb(9, 7)
 
     def test_cap(self):
         with pytest.raises(OracleCapError, match="cap exceeded"):
-            enumerate_character(21)
+            next(enumerated_lines(21))
 
     @pytest.mark.parametrize("m", [True, 2.5, "2", -1])
     def test_malformed_power_rejected(self, m):
         # by name, before any plane is enumerated
         with pytest.raises(ValueError, match=r"power must be a non-negative"):
-            enumerate_character(m)
-        with pytest.raises(ValueError, match=r"power must be a non-negative"):
             next(enumerated_lines(m))
 
     @pytest.mark.parametrize("m", range(21))
     def test_totals(self, m):
-        # one tally increment per monomial: the counts sum to C(m+7, 7)
-        c = enumerate_character(m)
-        assert sum(c.values()) == comb(m + 7, 7)
-        assert len(c) == (m + 1) ** 3
+        # one tally increment per monomial: the counts sum to C(m+7, 7),
+        # over (m+1)^2 lines of m + 1 weights, every one of them occupied
+        lines = list(enumerated_lines(m))
+        assert sum(sum(counts) for _, _, counts in lines) == comb(m + 7, 7)
+        assert len(lines) == (m + 1) ** 2
+        assert all(len(counts) == m + 1 and min(counts) > 0
+                   for _, _, counts in lines)
 
     @pytest.mark.parametrize("m", range(9))
     def test_matches_definition(self, m):
-        assert enumerate_character(m) == character_by_definition(m)
+        assert list(enumerated_lines(m)) == \
+            lines_of(character_by_definition(m), m)
 
     def test_independent_of_the_formulas(self, monkeypatch):
         def refuse(*args):
@@ -114,7 +119,8 @@ class TestEnumerateCharacter:
                              (dims, "_line_dimensions"),
                              (characters, "character_symmetric_power")):
             monkeypatch.setattr(module, name, refuse)
-        assert sum(enumerate_character(10).values()) == comb(17, 7)
+        assert sum(sum(counts) for _, _, counts in enumerated_lines(10)) \
+            == comb(17, 7)
 
     def test_detects_one_wrong_dimension_at_m_20(self, monkeypatch):
         lines = dims.weight_dimensions
