@@ -6,6 +6,7 @@ character input and the like), 3 verification mismatch, 141 closed stdout.
 """
 
 import argparse
+import io
 import os
 import sys
 from math import comb
@@ -13,7 +14,7 @@ from math import comb
 from .characters import decompose_entries
 from .core import character_entries
 from .dims import dim_weight
-from .multiplicity import (character_lines, decomposition_planes,
+from .multiplicity import (character_lines, decomposition_rows,
                            multiplicity_sym)
 from .oracle import ENUMERATION_CAP, check_cap
 from .verify import CHECKS, VerificationError
@@ -47,19 +48,40 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _render_decomposition(planes, fmt: str, m: int | None = None) -> int:
-    # One join and one write per plane of (label, mult) rows, which both
-    # builders give in descending lexicographic order; the json is byte
-    # for byte what json.dumps renders for {"m": m (decompose only),
+class _Blocks:
+    # Text for stdout, joined and written once at least
+    # io.DEFAULT_BUFFER_SIZE characters are pending: each sys.stdout.write
+    # is a system call when stdout is unbuffered (PYTHONUNBUFFERED), and
+    # the tables come a short line or count row at a time.
+    def __init__(self):
+        self.pending, self.size = [], 0
+
+    def write(self, text: str) -> None:
+        self.pending.append(text)
+        self.size += len(text)
+        if self.size >= io.DEFAULT_BUFFER_SIZE:
+            self.flush()
+
+    def flush(self) -> None:
+        sys.stdout.write("".join(self.pending))
+        self.pending, self.size = [], 0
+
+
+def _render_decomposition(groups, fmt: str, m: int | None = None) -> int:
+    # One join per group of (label, mult) rows, which every source gives
+    # in descending lexicographic order, written in blocks; the json is
+    # byte for byte what json.dumps renders for {"m": m (decompose only),
     # "entries": [{"label": [n1, n2, n3], "mult": x}, ...], "total_dim":
-    # total}.  Returns the total, summed from the rows as they are written.
-    write, total, lead = sys.stdout.write, 0, ""
+    # total}.  Returns the total, summed from the rows, once the last block
+    # is written.
+    out, total, lead = _Blocks(), 0, ""
+    write = out.write
     if fmt == "json":
         write('{"entries": [' if m is None else f'{{"m": {m}, "entries": [')
     elif fmt == "csv":
         write("n1,n2,n3,mult\n")
     sep = "," if fmt == "csv" else " "
-    for rows in planes:
+    for rows in groups:
         total += sum([x * (n1 + 1) * (n2 + 1) * (n3 + 1)
                       for (n1, n2, n3), x in rows])
         if fmt != "json":
@@ -74,6 +96,7 @@ def _render_decomposition(planes, fmt: str, m: int | None = None) -> int:
         write(f'], "total_dim": {total}}}\n')
     elif fmt == "text":
         write(f"total_dim = {total}\n")
+    out.flush()
     return total
 
 
@@ -112,7 +135,7 @@ def _check_total(name: str, total: int, m: int) -> int:
 
 def _cmd_decompose(args) -> int:
     m = args.m
-    total = _render_decomposition(decomposition_planes(m), args.format, m=m)
+    total = _render_decomposition(decomposition_rows(m), args.format, m=m)
     return _check_total("decomposition total_dim", total, m)
 
 
@@ -120,7 +143,7 @@ def _cmd_character(args) -> int:
     # (l1, l2) and (l1, -l2) share one % of the template, whose NULs take
     # each line's head.  The json is byte for byte json.dumps of {"m": m,
     # "entries": [{"weight": [l1, l2, l3], "dim": d}, ...], "total": sum}.
-    m, fmt, out = args.m, args.format, sys.stdout
+    m, fmt, out = args.m, args.format, _Blocks()
     if fmt == "json":
         out.write(f'{{"m": {m}, "entries": [')
         cells = [f', {l3}], "dim": %d}}' for l3 in range(m, -m - 1, -2)]
@@ -141,14 +164,29 @@ def _cmd_character(args) -> int:
         lead = between
     if fmt == "json":
         out.write(f'], "total": {total}}}\n')
+    out.flush()
     return _check_total("character total", total, m)
 
 
 def _cmd_greedy(args) -> int:
-    # the entries hold the only reference to the text, freed once read
+    # the entries hold the only reference to the text, freed once read;
+    # the file's dimensions, summed as they are read, are the reference of
+    # the rendered total
     with open(args.file, encoding="utf-8") as fh:
         entries = character_entries(fh.read())
-    _render_decomposition([decompose_entries(entries).items()], args.format)
+    read = 0
+
+    def summed():
+        nonlocal read
+        for entry in entries:
+            read += entry[2]
+            yield entry
+
+    total = _render_decomposition([decompose_entries(summed()).items()],
+                                  args.format)
+    if total != read:
+        raise VerificationError(f"greedy total_dim {total} != {read}, the "
+                                f"sum of the file's dimensions")
     return 0
 
 

@@ -11,8 +11,9 @@ one syzygy, which writes T^2 in the others (Briand, Luque and Thibon,
 basis, and multiplicity_sym counts those of degree m and the label's
 weight in O(1), reading no weight dimension.
 
-_count_plane is the same count as rows, one plane (one n1) at a time in
-O(m^2) ints: both full tables and the character's prefix sums read it,
+_count_plane is the same count as rows, one plane (one n1) at a time,
+each row (one n1, n2) of m // 2 + 1 ints: the decomposition table reads
+it a row at a time and the character's prefix sums a plane at a time,
 and the tests pin each of its rows to multiplicity_sym.
 """
 
@@ -45,27 +46,29 @@ def multiplicity_sym(m: int, label: IrrepLabel) -> int:
     return max(0, (min(label) - h) // 2 + 1 - max(0, (1 - h) // 2))
 
 
-def decomposition_planes(m: int) -> Iterator[list[tuple[IrrepLabel, int]]]:
-    """The decomposition of the m-th symmetric power, one plane at a time.
+def decomposition_rows(m: int) -> Iterator[list[tuple[IrrepLabel, int]]]:
+    """The decomposition of the m-th symmetric power, one count row at a
+    time.
 
     Labels have components in {m mod 2, m mod 2 + 2, ..., m} (weights of
     the power lie in [-m, m]^3, so nothing outside can occur).  Yields,
-    for n1 = m, m - 2, ..., the (label, mult) rows with first component n1
-    and mult != 0 in descending lexicographic order: the non-zero counts of
+    for n1 = m, m - 2, ... and within it n2 = m, m - 2, ..., one list of
+    the (label, mult) rows with first components (n1, n2) and mult != 0
+    in descending lexicographic order: the non-zero counts of a row of
     _count_plane, whose co-indices 0, 1, ... are n = m, m - 2, ...  Holds
-    one plane of rows, O(m^2) ints.  Raises ValueError on a malformed power.
+    one count row, O(m) ints.  Raises ValueError on a malformed power.
     """
     check_power(m)
     values = range(m, -1, -2)
     for a, n1 in enumerate(values):
-        yield [((n1, n2, n3), x) for n2, row in zip(values, _count_plane(m, a))
-               for n3, x in zip(values, row) if x]
+        for n2, row in zip(values, _count_plane(m, a)):
+            yield [((n1, n2, n3), x) for n3, x in zip(values, row) if x]
 
 
 def decompose_symmetric_power(m: int) -> Decomposition:
     """Complete decomposition of the m-th symmetric power: every row of
-    decomposition_planes(m), in its order, held in one dict."""
-    return {label: x for rows in decomposition_planes(m) for label, x in rows}
+    decomposition_rows(m), in its order, held in one dict."""
+    return {label: x for rows in decomposition_rows(m) for label, x in rows}
 
 
 def _count_plane(m: int, a: int) -> Iterator[list[int]]:

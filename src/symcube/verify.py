@@ -83,7 +83,7 @@ def check_greedy(top_m: int) -> int:
         greedy = characters.decompose_entries(
             (0, (l1, l2, l3), d) for l1, l2, row in dims.weight_dimensions(m)
             for l3, d in zip(values, row))
-        rows = chain.from_iterable(multiplicity.decomposition_planes(m))
+        rows = chain.from_iterable(multiplicity.decomposition_rows(m))
         if any(starmap(ne, zip_longest(greedy.items(), rows))):
             raise VerificationError(
                 f"greedy (eight-corner sums of the closed-form character) vs "

@@ -327,6 +327,16 @@ class _Discard:
         pass
 
 
+class _CountWrites(_Discard):
+    def __init__(self):
+        self.writes = self.chars = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
+        return len(text)
+
+
 def dominant_dimensions(m: int) -> list[list[list[int]]]:
     """The cube cube[i][j][l] = C(m; sorted((i, j, l), reverse=True)) for
     i, j, l in [0, m/2]: the dimensions of S^m at the dominant weights
@@ -368,7 +378,7 @@ class TestDecomposeStreams:
             tracemalloc.stop()
         assert code == 0
         assert peak <= 1.5 * cube_peak, (peak, cube_peak)
-        # The count holds one plane of rows and reads no cube.  The first
+        # The count holds one count row and reads no cube.  The first
         # run also paid one-off costs of the process (argparse's lazy
         # imports, CPython's tuple free lists, about 0.4 MB run alone),
         # which were allocated before this trace starts.
@@ -381,15 +391,33 @@ class TestDecomposeStreams:
             tracemalloc.stop()
         assert peak < cube_peak / 4, (peak, cube_peak)
 
+    def test_holds_one_count_row_at_a_time(self):
+        # O(m) state: quadrupling m less than doubles the traced peak, where
+        # a plane of rows, O(m^2), peaked at 1.77 MB at m = 200; the
+        # untraced warm-up pays the process's one-off costs
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(["decompose", "50", "--format", "csv"]) == 0
+        peaks = []
+        for m in (50, 200):
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(_Discard()):
+                    code = main(["decompose", str(m), "--format", "csv"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, m
+        assert peaks[1] < 2 * peaks[0], peaks
+
     def test_wrong_total_exits_3(self, monkeypatch):
-        real_planes = cli.decomposition_planes
+        real_rows = cli.decomposition_rows
         real_plane = multiplicity._count_plane
 
-        def wrong_planes(m):
-            planes = list(real_planes(m))
-            (label, x), *rest = planes[2]
-            planes[2] = [(label, x + 1), *rest]
-            return planes
+        def wrong_rows(m):
+            rows = list(real_rows(m))
+            (label, x), *rest = rows[2]
+            rows[2] = [(label, x + 1), *rest]
+            return rows
 
         def wrong_plane(m, a):
             rows = list(real_plane(m, a))
@@ -397,10 +425,10 @@ class TestDecomposeStreams:
                 rows[2][3] += 1
             return rows
 
-        # a wrong plane as the command reads it, and a wrong count in the
+        # a wrong row as the command reads it, and a wrong count in the
         # row form that decompose shares with character
         for module, name, wrong, m in (
-                (cli, "decomposition_planes", wrong_planes, 12),
+                (cli, "decomposition_rows", wrong_rows, 12),
                 (multiplicity, "_count_plane", wrong_plane, 7)):
             with monkeypatch.context() as patch:
                 patch.setattr(module, name, wrong)
@@ -417,6 +445,18 @@ class TestDecomposeStreams:
             assert (code, err) == (3, "mismatch: character total 3480 != "
                                       "C(m+7, 7) = 3432 at m = 7\n"), fmt
             assert out.count("\n") == lines, fmt
+
+
+@pytest.mark.parametrize("argv", [["character", "100"],
+                                  ["decompose", "100", "--format", "json"]])
+def test_tables_write_in_buffer_sized_blocks(argv):
+    # each write to an unbuffered stdout is a system call; character 100
+    # wrote each of its 10,201 lines (l1, l2) apart
+    out = _CountWrites()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.writes <= -(-out.chars // io.DEFAULT_BUFFER_SIZE) + 2, (
+        out.writes, out.chars)
 
 
 class TestCharacterRows:
@@ -558,6 +598,25 @@ class TestGreedy:
             tracemalloc.stop()
         assert code == 0
         assert peak < parse_peak / 4, (peak, parse_peak)
+
+    def test_wrong_total_exits_3(self, tmp_path, monkeypatch):
+        # the file's dimensions, summed as they are read, against the total
+        # of the table, which is printed first
+        path = tmp_path / "s5.char"
+        write_character(path, 5)
+        real = cli.decompose_entries
+
+        def off_by_one(entries):
+            (label, x), *rest = real(entries).items()
+            return dict([(label, x + 1), *rest])
+
+        monkeypatch.setattr(cli, "decompose_entries", off_by_one)
+        code, out, err = run(["greedy", str(path)])
+        assert code == 3
+        assert out.startswith("5 5 5 2\n")
+        assert out.endswith(f"total_dim = {comb(12, 7) + 216}\n")
+        assert err == (f"mismatch: greedy total_dim {comb(12, 7) + 216} != "
+                       f"{comb(12, 7)}, the sum of the file's dimensions\n")
 
     def test_single_irrep_file(self, tmp_path):
         path = tmp_path / "cube.char"

@@ -13,7 +13,7 @@ from symcube import (
     multiplicity_sym,
 )
 from symcube import characters, dims, multiplicity, verify
-from symcube.multiplicity import character_lines, decomposition_planes
+from symcube.multiplicity import character_lines, decomposition_rows
 from symcube.verify import (
     VerificationError,
     check_character_lines,
@@ -163,12 +163,18 @@ class TestDecomposeSymmetricPower:
 class TestDecompositionPlanes:
     @pytest.mark.parametrize("m", range(31))
     def test_dict_is_the_planes_in_order(self, m):
-        planes = list(decomposition_planes(m))
-        assert len(planes) == m // 2 + 1
+        # one list per count row (n1, n2), n1 then n2 descending, each in
+        # descending order of n3
+        rows = list(decomposition_rows(m))
+        assert len(rows) == (m // 2 + 1) ** 2
         assert list(decompose_symmetric_power(m).items()) == [
-            row for rows in planes for row in rows]
-        for n1, rows in zip(range(m, -1, -2), planes):
-            assert all(label[0] == n1 for label, _ in rows)
+            entry for row in rows for entry in row]
+        values = range(m, -1, -2)
+        heads = [(n1, n2) for n1 in values for n2 in values]
+        for head, row in zip(heads, rows):
+            assert all(label[:2] == head for label, _ in row), head
+            labels = [label for label, _ in row]
+            assert labels == sorted(labels, reverse=True), head
 
 
 class TestCheckGreedy:
@@ -178,27 +184,27 @@ class TestCheckGreedy:
         assert check_greedy(30) == 31
 
     def test_detects_one_wrong_multiplicity_at_m_7(self, monkeypatch):
-        planes = multiplicity.decomposition_planes
+        real_rows = multiplicity.decomposition_rows
 
         def off_by_one(m):
-            for rows in planes(m):
+            for row in real_rows(m):
                 if m == 7:
-                    rows = [(label, x + (label == (3, 3, 1)))
-                            for label, x in rows]
-                yield rows
+                    row = [(label, x + (label == (3, 3, 1)))
+                           for label, x in row]
+                yield row
 
-        monkeypatch.setattr(multiplicity, "decomposition_planes", off_by_one)
+        monkeypatch.setattr(multiplicity, "decomposition_rows", off_by_one)
         with pytest.raises(VerificationError, match=r"at m = 7$"):
             check_greedy(10)
 
     def test_names_planes_with_their_rows_reversed(self, monkeypatch):
         # the rows `symcube decompose` prints, compared in order: the same
         # labels and multiplicities in another order are named, here first
-        # at m = 2, whose plane n1 = 2 holds two rows
-        planes = multiplicity.decomposition_planes
-        monkeypatch.setattr(multiplicity, "decomposition_planes",
-                            lambda m: (rows[::-1] for rows in planes(m)))
-        with pytest.raises(VerificationError, match=r"at m = 2$"):
+        # at m = 3, whose count row (1, 1) is the first to hold two labels
+        real_rows = multiplicity.decomposition_rows
+        monkeypatch.setattr(multiplicity, "decomposition_rows",
+                            lambda m: (row[::-1] for row in real_rows(m)))
+        with pytest.raises(VerificationError, match=r"at m = 3$"):
             check_greedy(10)
 
     def test_reads_only_the_streamed_routes(self, monkeypatch):
