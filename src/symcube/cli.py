@@ -48,55 +48,60 @@ def _nonneg(text: str) -> int:
     return value
 
 
-class _Blocks:
-    # Text for stdout, joined and written once at least
-    # io.DEFAULT_BUFFER_SIZE characters are pending: each sys.stdout.write
-    # is a system call when stdout is unbuffered (PYTHONUNBUFFERED), and
-    # the tables come a short line or count row at a time.
-    def __init__(self):
-        self.pending, self.size = [], 0
+class _Table:
+    # One table on stdout, the only code that spells what tables share: the
+    # head (csv header; json opening, with "m" unless m is None), the ", "
+    # between json entries and the tail (json total; text total_dim line,
+    # which a character has not); json is byte for byte json.dumps.  Text
+    # is joined and written once io.DEFAULT_BUFFER_SIZE characters wait, and
+    # at close: unbuffered (PYTHONUNBUFFERED), each write is a system call.
+    def __init__(self, fmt: str, m: int | None, character: bool = False):
+        self.sep = "," if fmt == "csv" else " "  # within a text or csv entry
+        self.between = ", " if fmt == "json" else ""
+        if fmt == "json":
+            key = "total" if character else "total_dim"
+            head = ('{"entries": [' if m is None
+                    else f'{{"m": {m}, "entries": [')
+            self.tail = f'], "{key}": %d}}\n'
+        elif fmt == "csv":
+            head = "l1,l2,l3,dim\n" if character else "n1,n2,n3,mult\n"
+            self.tail = ""
+        else:
+            head, self.tail = "", "" if character else "total_dim = %d\n"
+        self.pending, self.size, self.lead = [head], len(head), ""
 
-    def write(self, text: str) -> None:
-        self.pending.append(text)
-        self.size += len(text)
-        if self.size >= io.DEFAULT_BUFFER_SIZE:
-            self.flush()
+    def write(self, entries: str) -> None:
+        # whole entries joined by self.between; "" writes nothing
+        if entries:
+            self.pending.append(text := self.lead + entries)
+            self.size += len(text)
+            self.lead = self.between
+            if self.size >= io.DEFAULT_BUFFER_SIZE:
+                sys.stdout.write("".join(self.pending))
+                self.pending, self.size = [], 0
 
-    def flush(self) -> None:
+    def close(self, total: int) -> None:
+        if self.tail:
+            self.pending.append(self.tail % total)
         sys.stdout.write("".join(self.pending))
-        self.pending, self.size = [], 0
 
 
 def _render_decomposition(groups, fmt: str, m: int | None = None) -> int:
-    # One join per group of (label, mult) rows, which every source gives
-    # in descending lexicographic order, written in blocks; the json is
-    # byte for byte what json.dumps renders for {"m": m (decompose only),
-    # "entries": [{"label": [n1, n2, n3], "mult": x}, ...], "total_dim":
-    # total}.  Returns the total, summed from the rows, once the last block
-    # is written.
-    out, total, lead = _Blocks(), 0, ""
-    write = out.write
-    if fmt == "json":
-        write('{"entries": [' if m is None else f'{{"m": {m}, "entries": [')
-    elif fmt == "csv":
-        write("n1,n2,n3,mult\n")
-    sep = "," if fmt == "csv" else " "
+    # One join per group of (label, mult) rows, which every source gives in
+    # descending lexicographic order; returns the total, summed from the rows
+    table, total = _Table(fmt, m), 0
+    sep = table.sep
     for rows in groups:
         total += sum([x * (n1 + 1) * (n2 + 1) * (n3 + 1)
                       for (n1, n2, n3), x in rows])
-        if fmt != "json":
-            write("".join([f"{n1}{sep}{n2}{sep}{n3}{sep}{x}\n"
-                           for (n1, n2, n3), x in rows]))
-        elif rows:
-            write(lead + ", ".join([
-                f'{{"label": [{n1}, {n2}, {n3}], "mult": {x}}}'
-                for (n1, n2, n3), x in rows]))
-            lead = ", "
-    if fmt == "json":
-        write(f'], "total_dim": {total}}}\n')
-    elif fmt == "text":
-        write(f"total_dim = {total}\n")
-    out.flush()
+        if fmt == "json":
+            entries = [f'{{"label": [{n1}, {n2}, {n3}], "mult": {x}}}'
+                       for (n1, n2, n3), x in rows]
+        else:
+            entries = [f"{n1}{sep}{n2}{sep}{n3}{sep}{x}\n"
+                       for (n1, n2, n3), x in rows]
+        table.write(table.between.join(entries))
+    table.close(total)
     return total
 
 
@@ -141,30 +146,24 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_character(args) -> int:
     # (l1, l2) and (l1, -l2) share one % of the template, whose NULs take
-    # each line's head.  The json is byte for byte json.dumps of {"m": m,
-    # "entries": [{"weight": [l1, l2, l3], "dim": d}, ...], "total": sum}.
-    m, fmt, out = args.m, args.format, _Blocks()
-    if fmt == "json":
-        out.write(f'{{"m": {m}, "entries": [')
+    # each line's head
+    m, table = args.m, _Table(args.format, args.m, character=True)
+    sep, between = table.sep, table.between
+    if args.format == "json":
         cells = [f', {l3}], "dim": %d}}' for l3 in range(m, -m - 1, -2)]
-        head, between = '{"weight": [%d, %d', ", "
+        head = '{"weight": [%d, %d'
     else:
-        sep = "," if fmt == "csv" else " "
-        out.write("l1,l2,l3,dim\n" if fmt == "csv" else "")
         cells = [f"{sep}{l3}{sep}%d\n" for l3 in range(m, -m - 1, -2)]
-        head, between = f"%d{sep}%d", ""
-    template, bodies, total, lead = "\0".join(cells), {}, 0, ""
+        head = f"%d{sep}%d"
+    template, bodies, total = "\0".join(cells), {}, 0
     for l1, l2, dims in character_lines(m):
         total += sum(dims)
         if l2 >= 0:
             bodies[l2] = template % tuple(dims)
         line_head = head % (l1, l2)
-        out.write(lead + line_head
-                  + bodies[abs(l2)].replace("\0", between + line_head))
-        lead = between
-    if fmt == "json":
-        out.write(f'], "total": {total}}}\n')
-    out.flush()
+        table.write(line_head
+                    + bodies[abs(l2)].replace("\0", between + line_head))
+    table.close(total)
     return _check_total("character total", total, m)
 
 
@@ -209,61 +208,39 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    table = argparse.ArgumentParser(add_help=False)  # all but verify
+    table.add_argument("--format", choices=("text", "json", "csv"),
+                       default="text", help="output format (default: text)")
+    power = argparse.ArgumentParser(add_help=False, parents=[table])
+    power.add_argument("m", type=_nonneg, help="symmetric power")
 
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text",
-            help="output format (default: text)",
-        )
+    for name, func, triple, kind, text in (
+            ("dim", _cmd_dim, "l1 l2 l3", _integer,
+             "dimension of one weight space of S^m"),
+            ("mult", _cmd_mult, "n1 n2 n3", _nonneg,
+             "multiplicity of V(n1) (x) V(n2) (x) V(n3) in S^m"),
+            ("decompose", _cmd_decompose, "", None,
+             "full decomposition table of S^m"),
+            ("character", _cmd_character, "", None,
+             "dump the character of S^m (weight, dimension)")):
+        p = sub.add_parser(name, parents=[power], help=text)
+        for arg in triple.split():
+            p.add_argument(arg, type=kind)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("dim", help="dimension of one weight space of S^m")
-    p.add_argument("m", type=_nonneg, help="symmetric power")
-    p.add_argument("l1", type=_integer)
-    p.add_argument("l2", type=_integer)
-    p.add_argument("l3", type=_integer)
-    add_format(p)
-    p.set_defaults(func=_cmd_dim)
-
-    p = sub.add_parser(
-        "mult", help="multiplicity of V(n1) (x) V(n2) (x) V(n3) in S^m"
-    )
-    p.add_argument("m", type=_nonneg, help="symmetric power")
-    p.add_argument("n1", type=_nonneg)
-    p.add_argument("n2", type=_nonneg)
-    p.add_argument("n3", type=_nonneg)
-    add_format(p)
-    p.set_defaults(func=_cmd_mult)
-
-    p = sub.add_parser("decompose", help="full decomposition table of S^m")
-    p.add_argument("m", type=_nonneg, help="symmetric power")
-    add_format(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser(
-        "character", help="dump the character of S^m (weight, dimension)"
-    )
-    p.add_argument("m", type=_nonneg, help="symmetric power")
-    add_format(p)
-    p.set_defaults(func=_cmd_character)
-
-    p = sub.add_parser(
-        "greedy", help="decompose a character file by the greedy algorithm"
-    )
+    p = sub.add_parser("greedy", parents=[table], help=(
+        "decompose a character file by the greedy algorithm"))
     p.add_argument("file", help="character file: lines 'l1 l2 l3 dim'")
-    add_format(p)
     p.set_defaults(func=_cmd_greedy)
 
-    p = sub.add_parser(
-        "verify", help="cross-check the formulas against brute-force counts"
-    )
+    p = sub.add_parser("verify", help=(
+        "cross-check the formulas against brute-force counts"))
     p.add_argument("--max-m", type=_nonneg, help=(
         "largest power for the character and decomposition comparisons "
         f"(default: {_DEFAULT_TOP['ci']} in ci mode, "
         f"{_DEFAULT_TOP['extended']} in extended mode)"))
-    p.add_argument(
-        "--mode", choices=tuple(_DEFAULT_TOP), default="ci",
-        help="preset verification depth (default: ci)",
-    )
+    p.add_argument("--mode", choices=tuple(_DEFAULT_TOP), default="ci",
+                   help="preset verification depth (default: ci)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

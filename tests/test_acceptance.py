@@ -17,7 +17,6 @@ from symcube import (
     c2_bruteforce,
     character_irrep,
     decompose_symmetric_power,
-    dim_by_convolution,
     dim_closed_form,
     dim_weight,
     greedy_decompose,
@@ -25,7 +24,8 @@ from symcube import (
     polynomial_case,
 )
 from symcube.cli import main
-from symcube.verify import check_c2, check_characters, check_greedy
+from symcube.verify import (check_c2, check_characters, check_dimensions,
+                            check_greedy)
 
 @contextlib.contextmanager
 def criterion(num: int, name: str, budget_s: float):
@@ -88,14 +88,11 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_closed_form_vs_convolution():
     with criterion(4, "closed form == convolution for m <= 60, all six "
                       "polynomial branches exercised", 30.0):
-        hits: Counter = Counter()
-        for m in range(61):
-            for k in range(m // 2 + 1):
-                for r in range(k + 1):
-                    for n in range(r + 1):
-                        hits[polynomial_case(m, k, r, n)] += 1
-                        assert dim_closed_form(m, k, r, n) == \
-                            dim_by_convolution(m, k, r, n), (m, k, r, n)
+        assert check_dimensions(60) == 87296
+        # the branch of each of those indices
+        hits = Counter(polynomial_case(m, k, r, n) for m in range(61)
+                       for k in range(m // 2 + 1) for r in range(k + 1)
+                       for n in range(r + 1))
         for case in ("I", "II.1", "II.2", "III.1", "III.2", "III.3"):
             assert hits[case] >= 100, (case, hits[case])
 

@@ -26,6 +26,16 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def child_env(unbuffered: bool) -> dict:
+    """The environment of a `python -m symcube.cli` child, its stdout
+    unbuffered or not: any non-empty PYTHONUNBUFFERED, even "0", means
+    unbuffered, so a buffered child runs without the key."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return {**env, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
 def write_character(path, m):
     """Write the character of S^m to path as `symcube character m` prints
     it; S^1 is V(1) (x) V(1) (x) V(1)."""
@@ -184,8 +194,12 @@ class TestPinnedOutput:
          '{"label": [3, 1, 1], "mult": 1}, {"label": [1, 3, 1], "mult": 1}, '
          '{"label": [1, 1, 3], "mult": 1}, {"label": [1, 1, 1], "mult": 1}], '
          '"total_dim": 120}\n'),
+        # an empty character file: the head and tail alone
+        (["greedy", os.devnull], "total_dim = 0\n"),
+        (["greedy", os.devnull, "--format", "csv"], "n1,n2,n3,mult\n"),
     ], ids=[f"{command}-{fmt}" for command in ("character", "decompose")
-            for fmt in ("text", "csv", "json")])
+            for fmt in ("text", "csv", "json")]
+        + ["greedy-empty-text", "greedy-empty-csv"])
     def test_stdout(self, argv, want):
         assert run(argv) == (0, want, "")
 
@@ -448,10 +462,13 @@ class TestDecomposeStreams:
 
 
 @pytest.mark.parametrize("argv", [["character", "100"],
-                                  ["decompose", "100", "--format", "json"]])
-def test_tables_write_in_buffer_sized_blocks(argv):
+                                  ["decompose", "100", "--format", "json"],
+                                  ["greedy", "s20.char", "--format", "json"]])
+def test_tables_write_in_buffer_sized_blocks(argv, tmp_path, monkeypatch):
     # each write to an unbuffered stdout is a system call; character 100
-    # wrote each of its 10,201 lines (l1, l2) apart
+    # wrote each of its 10,201 lines (l1, l2) apart; greedy reads S^20
+    monkeypatch.chdir(tmp_path)
+    write_character(tmp_path / "s20.char", 20)
     out = _CountWrites()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
@@ -501,14 +518,15 @@ class TestCharacterRows:
 
 
 class TestClosedStdout:
-    def test_exits_141_and_says_nothing(self):
+    @pytest.mark.parametrize("unbuffered", [True, False],
+                             ids=["unbuffered", "buffered"])
+    def test_exits_141_and_says_nothing(self, unbuffered):
         # as `symcube character 60 | head -1`: 3.3 MB of output, so the
         # writes after the first line meet a closed pipe
-        src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.Popen(
             [sys.executable, "-m", "symcube.cli", "character", "60"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": str(src)})
+            env=child_env(unbuffered))
         assert proc.stdout.readline() == b"60 60 60 1\n"
         proc.stdout.close()
         assert proc.stderr.read() == b""
@@ -518,18 +536,32 @@ class TestClosedStdout:
         # as `symcube decompose 3 | (exec 0<&-; sleep 1)`: the whole output
         # waits in stdout's buffer, which is block-buffered only without
         # PYTHONUNBUFFERED, until the flush at the end of main
-        src = Path(cli.__file__).resolve().parents[1]
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "symcube.cli", "decompose", "3"],
                 stdout=write_end, stderr=subprocess.PIPE, timeout=60,
-                env={**env, "PYTHONPATH": str(src)})
+                env=child_env(unbuffered=False))
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+def test_child_prints_what_main_prints(tmp_path, unbuffered):
+    # the blocks of an unbuffered stdout, and the buffer of a buffered one,
+    # carry the same bytes as a StringIO in process
+    path = tmp_path / "s5.char"
+    write_character(path, 5)
+    for argv in (["decompose", "9", "--format", "json"],
+                 ["character", "7", "--format", "csv"], ["greedy", str(path)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "symcube.cli", *argv], capture_output=True,
+            timeout=60, env=child_env(unbuffered))
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) \
+            == run(argv), argv
 
 
 class TestOutOfMemory:

@@ -8,7 +8,7 @@ import pytest
 
 from symcube import OracleCapError, c2_bruteforce, convolution_bruteforce
 from symcube import characters, dims
-from symcube.oracle import enumerated_lines
+from symcube.oracle import ENUMERATION_CAP, enumerated_lines
 from symcube.verify import (
     VerificationError,
     check_c2,
@@ -254,3 +254,19 @@ class TestConvolutionBruteforce:
 class TestAgreement:
     def test_three_way_dimension_agreement(self):
         check_dimensions(20)
+
+    def test_names_a_closed_form_fault_above_the_enumeration_cap(
+            self, monkeypatch):
+        # at (m, k, r, n) = (37, 9, 7, 5), the weight (27, -19, 23), only
+        # the convolution is compared with the closed form
+        assert 37 > ENUMERATION_CAP
+        real = dims.dim_weight
+        monkeypatch.setattr(dims, "dim_weight", lambda m, w: real(m, w) + (
+            (m, w) == (37, (27, -19, 23))))
+        assert check_dimensions(16) == 825
+        with pytest.raises(VerificationError) as raised:
+            check_dimensions(60)
+        want = dims.dim_closed_form(37, 9, 7, 5)
+        assert str(raised.value) == (
+            f"dimensions diverge at (m, k, r, n) = (37, 9, 7, 5): "
+            f"closed={want + 1} convolution={want}")
