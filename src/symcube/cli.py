@@ -9,6 +9,7 @@ import argparse
 import io
 import os
 import sys
+from itertools import groupby
 from math import comb
 
 from .characters import decompose_entries
@@ -181,8 +182,9 @@ def _cmd_greedy(args) -> int:
             read += entry[2]
             yield entry
 
-    total = _render_decomposition([decompose_entries(summed()).items()],
-                                  args.format)
+    # one group per count row (n1, n2), as decompose writes them
+    rows = groupby(decompose_entries(summed()).items(), lambda e: e[0][:2])
+    total = _render_decomposition((list(g) for _, g in rows), args.format)
     if total != read:
         raise VerificationError(f"greedy total_dim {total} != {read}, the "
                                 f"sum of the file's dimensions")

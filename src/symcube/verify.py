@@ -53,27 +53,21 @@ def check_dimensions(top_m: int) -> int:
     return cases
 
 
-def _check_lines(top_m: int, lines, fault: str) -> int:
-    """lines(m) vs the closed-form lines of S^m, m <= top_m, streamed line
-    for line, so that neither route is held whole."""
+def check_characters(top_m: int) -> int:
+    """Routes to the character of S^m, m <= top_m, each held one line at a
+    time: the closed form, monomial enumeration (one l1 plane of (m+1)^2
+    weights at a time) and the covariant count prefix sums."""
     core.check_power(top_m)
     for m in range(top_m + 1):
-        if any(starmap(ne, zip_longest(dims.weight_dimensions(m), lines(m)))):
-            raise VerificationError(f"{fault} at m = {m}")
+        for closed, enumerated, counted in zip_longest(
+                dims.weight_dimensions(m), oracle.enumerated_lines(m),
+                multiplicity.character_lines(m)):
+            if closed != enumerated:
+                raise VerificationError(f"monomial enumeration differs from "
+                                        f"closed-form character at m = {m}")
+            if closed != counted:
+                raise VerificationError(f"count prefix sums differ at m = {m}")
     return top_m + 1
-
-
-def check_characters(top_m: int) -> int:
-    """Monomial enumeration vs the closed-form character of S^m, m <= top_m,
-    one l1 plane of (m+1)^2 weights at a time."""
-    return _check_lines(top_m, oracle.enumerated_lines, "monomial "
-                        "enumeration differs from closed-form character")
-
-
-def check_character_lines(top_m: int) -> int:
-    """Covariant count prefix sums vs closed-form lines of S^m, m <= top_m."""
-    return _check_lines(top_m, multiplicity.character_lines,
-                        "count prefix sums differ")
 
 
 def check_greedy(top_m: int) -> int:
@@ -101,9 +95,8 @@ CHECKS = (
      "weight dimensions: closed form == convolution == pair enumeration "
      "for m <= {0} ({1} indices)"),
     (check_characters, lambda top: top,
-     "characters: monomial enumeration == closed forms for m <= {0}"),
-    (check_character_lines, lambda top: top,
-     "characters: covariant count prefix sums == closed forms for m <= {0}"),
+     "characters: monomial enumeration == covariant count prefix sums == "
+     "closed forms for m <= {0}"),
     (check_greedy, lambda top: top,
      "decompositions: greedy == covariant count for m <= {0}"),
 )

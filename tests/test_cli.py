@@ -343,11 +343,12 @@ class _Discard:
 
 class _CountWrites(_Discard):
     def __init__(self):
-        self.writes = self.chars = 0
+        self.writes = self.chars = self.longest = 0
 
     def write(self, text):
         self.writes += 1
         self.chars += len(text)
+        self.longest = max(self.longest, len(text))
         return len(text)
 
 
@@ -466,7 +467,8 @@ class TestDecomposeStreams:
                                   ["greedy", "s20.char", "--format", "json"]])
 def test_tables_write_in_buffer_sized_blocks(argv, tmp_path, monkeypatch):
     # each write to an unbuffered stdout is a system call; character 100
-    # wrote each of its 10,201 lines (l1, l2) apart; greedy reads S^20
+    # wrote each of its 10,201 lines (l1, l2) apart; greedy reads S^20,
+    # whose json it wrote in one write of 20,507 characters
     monkeypatch.chdir(tmp_path)
     write_character(tmp_path / "s20.char", 20)
     out = _CountWrites()
@@ -474,6 +476,7 @@ def test_tables_write_in_buffer_sized_blocks(argv, tmp_path, monkeypatch):
         assert main(argv) == 0
     assert out.writes <= -(-out.chars // io.DEFAULT_BUFFER_SIZE) + 2, (
         out.writes, out.chars)
+    assert out.longest <= 2 * io.DEFAULT_BUFFER_SIZE, out.longest
 
 
 class TestCharacterRows:
@@ -741,9 +744,8 @@ class TestVerify:
             "2x2 matrix counts: closed form == brute force for r1 <= 40\n"
             "weight dimensions: closed form == convolution == pair "
             "enumeration for m <= 16 (825 indices)\n"
-            f"characters: monomial enumeration == closed forms for m <= {top}\n"
-            "characters: covariant count prefix sums == closed forms for "
-            f"m <= {top}\n"
+            "characters: monomial enumeration == covariant count prefix "
+            f"sums == closed forms for m <= {top}\n"
             f"decompositions: greedy == covariant count for m <= {top}\n"
             "all checks passed\n"), "")
 
@@ -781,9 +783,9 @@ class TestVerify:
                 "decomposition comparisons (default: 12 in ci mode, 20 in "
                 "extended mode)") in " ".join(capsys.readouterr().out.split())
         # the bounds that the help names are the ones that run
-        assert [bound(12) for _, bound, _ in verify.CHECKS[2:]] == [12, 12, 12]
+        assert [bound(12) for _, bound, _ in verify.CHECKS[2:]] == [12, 12]
         assert [check.__name__ for check, _, _ in verify.CHECKS[2:]] == [
-            "check_characters", "check_character_lines", "check_greedy"]
+            "check_characters", "check_greedy"]
 
     def test_max_m_beyond_the_oracle_cap_exits_2_at_once(self, monkeypatch):
         # a check that ran would fail with exit 3

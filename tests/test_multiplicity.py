@@ -1,6 +1,7 @@
+import random
 import tracemalloc
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 from operator import sub
 
@@ -16,7 +17,7 @@ from symcube import characters, dims, multiplicity, verify
 from symcube.multiplicity import character_lines, decomposition_rows
 from symcube.verify import (
     VerificationError,
-    check_character_lines,
+    check_characters,
     check_greedy,
 )
 
@@ -92,6 +93,24 @@ class TestMultiplicitySym:
         dec = decompose_symmetric_power(40)
         assert sum(x * (n1 + 1) * (n2 + 1) * (n3 + 1)
                    for (n1, n2, n3), x in dec.items()) == comb(47, 7)
+
+    @pytest.mark.parametrize("m", [10**12, 10**12 + 1])
+    def test_corner_sums_at_a_huge_power(self, m):
+        # the count against the paper's own route, the alternating sum of
+        # the weight dimensions at the eight corners t + {0, 2}^3 (Fulton
+        # and Harris, section 11), by point queries at seeded labels whose
+        # components lie near the parity floor, m/3, m/2 and m, where the
+        # count's cases meet
+        rng = random.Random(m)
+        anchors = (m % 2, m // 3, m // 2, m)
+        for _ in range(1000):
+            near = [rng.choice(anchors) + rng.randint(-6, 6) for _ in "123"]
+            label = tuple(abs(v + (v - m) % 2) for v in near)
+            corners = sum(
+                (-1) ** sum(e) * dims.dim_weight(
+                    m, tuple(v + 2 * s for v, s in zip(label, e)))
+                for e in product((0, 1), repeat=3))
+            assert multiplicity_sym(m, label) == corners, label
 
     def test_permutation_equivariance(self):
         for m in range(21):
@@ -216,7 +235,7 @@ class TestCheckGreedy:
         monkeypatch.setattr(characters, "greedy_decompose", refuse)
         monkeypatch.setattr(multiplicity, "decompose_symmetric_power", refuse)
         assert [check(bound(12)) for check, bound, _ in verify.CHECKS] == [
-            sum((r1 + 1) ** 2 for r1 in range(41)), 825, 13, 13, 13]
+            sum((r1 + 1) ** 2 for r1 in range(41)), 825, 13, 13]
 
     def test_holds_one_plane_at_a_time(self):
         # the two whole S^20 decompositions and the character dict peaked
@@ -267,7 +286,7 @@ class TestCharacterLines:
 
 class TestCheckCharacterLines:
     def test_counts_the_powers(self):
-        assert check_character_lines(20) == 21
+        assert check_characters(20) == 21
 
     def test_detects_one_wrong_count_at_m_7(self, monkeypatch):
         plane = multiplicity._count_plane
@@ -279,5 +298,6 @@ class TestCheckCharacterLines:
             return rows
 
         monkeypatch.setattr(multiplicity, "_count_plane", off_by_one)
-        with pytest.raises(VerificationError, match=r"at m = 7$"):
-            check_character_lines(10)
+        with pytest.raises(VerificationError) as raised:
+            check_characters(10)
+        assert str(raised.value) == "count prefix sums differ at m = 7"

@@ -7,12 +7,11 @@ from math import comb
 import pytest
 
 from symcube import OracleCapError, c2_bruteforce, convolution_bruteforce
-from symcube import characters, dims
+from symcube import characters, dims, multiplicity, oracle
 from symcube.oracle import ENUMERATION_CAP, enumerated_lines
 from symcube.verify import (
     VerificationError,
     check_c2,
-    check_character_lines,
     check_characters,
     check_dimensions,
     check_greedy,
@@ -145,15 +144,30 @@ class TestEnumerateCharacter:
             "l2-flipped"])
     def test_names_a_misshapen_closed_form_at_its_power(self, monkeypatch,
                                                         mutant):
-        # both line checks stream the closed form line for line: a line
-        # too few or too many, a row of another length, or a line under
-        # another head, is named at its power, here m = 7
+        # the check streams the closed form line for line: a line too few
+        # or too many, a row of another length, or a line under another
+        # head, is named at its power, here m = 7
         lines = dims.weight_dimensions
         monkeypatch.setattr(dims, "weight_dimensions", lambda m: iter(
             mutant(list(lines(m))) if m == 7 else lines(m)))
-        for check in (check_characters, check_character_lines):
-            with pytest.raises(VerificationError, match=r"at m = 7$"):
-                check(9)
+        with pytest.raises(VerificationError, match=r"at m = 7$"):
+            check_characters(9)
+
+    def test_streams_each_route_once_per_power(self, monkeypatch):
+        # the closed form, the enumeration and the count prefix sums
+        calls = Counter()
+        for module, name in ((dims, "weight_dimensions"),
+                             (oracle, "enumerated_lines"),
+                             (multiplicity, "character_lines")):
+            def counted(m, lines=getattr(module, name), name=name):
+                calls[name, m] += 1
+                return lines(m)
+
+            monkeypatch.setattr(module, name, counted)
+        assert check_characters(12) == 13
+        assert calls == {(name, m): 1 for name in ("weight_dimensions",
+                         "enumerated_lines", "character_lines")
+                         for m in range(13)}
 
     def test_check_holds_one_plane_at_a_time(self):
         # the two whole S^20 characters peaked at 2.16 MB traced
@@ -168,8 +182,7 @@ class TestEnumerateCharacter:
 
 
 @pytest.mark.parametrize(
-    "check", [check_c2, check_dimensions, check_characters,
-              check_character_lines, check_greedy])
+    "check", [check_c2, check_dimensions, check_characters, check_greedy])
 @pytest.mark.parametrize("bound", [True, 3.0, -1, "2"])
 def test_checks_reject_a_bound_that_is_not_a_non_negative_int(check, bound):
     with pytest.raises(ValueError, match=re.escape(f"int, got {bound!r}")):
