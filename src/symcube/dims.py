@@ -28,10 +28,9 @@ Two independent computations are provided:
 
 The polynomial coefficients are rationals whose denominators divide 48,
 so each regime is stored as the five integer coefficients in n of its
-quartic scaled by 48, polynomials in (m, k, r).  Along a line (k, r) they
-are computed once per regime the line crosses; each n then costs one
-Horner evaluation and one division by 48, checked at every value: an
-inexact division can only mean mistranscribed coefficients, never bad
+quartic scaled by 48, polynomials in (m, k, r).  An index costs one
+regime choice, one Horner evaluation and one division by 48, checked:
+an inexact division can only mean mistranscribed coefficients, never bad
 input, and raises ArithmeticError.
 """
 
@@ -111,45 +110,32 @@ def _coeffs_high(m: int, k: int, r: int) -> tuple[int, ...]:
             c2 + (24 - 6 * e) * e - 20, c3 + 4 * e - 8, c4 - 1)
 
 
-def _regime(m: int, d: int, e: int, n: int) -> tuple:
-    """The closed form's one case selector, at n with d = k - r and
-    e = m - k - r: the regime's coefficient function, its (label, constant)
-    for r + n - k even and odd, and the first n beyond it (III: m + 1)."""
-    if n <= d:
-        return _coeffs_low, (("I", 48), ("I", 48)), d + 1
-    if n < e:
-        return _coeffs_mid, (("II.1", 48), ("II.2", 45)), e
+def _regime(m: int, k: int, r: int, n: int) -> tuple:
+    """The closed form's one case selector, the table in polynomial_case's
+    docstring: the coefficient function, label and constant term of the
+    case that holds the normalized index (m, k, r, n)."""
+    odd = (r + n - k) & 1
+    if r + n <= k:
+        return _coeffs_low, "I", 48
+    if r + n < m - k:
+        return (_coeffs_mid, "II.2", 45) if odd else (_coeffs_mid, "II.1", 48)
     if m % 2:
-        return _coeffs_high, (("III.3", 45), ("III.3", 45)), m + 1
-    return _coeffs_high, (("III.1", 48), ("III.2", 42)), m + 1
+        return _coeffs_high, "III.3", 45
+    return (_coeffs_high, "III.2", 42) if odd else (_coeffs_high, "III.1", 48)
 
 
-def _line_dimensions(m: int, k: int, r: int, lo: int, hi: int) -> list[int]:
-    """C(m; k, r, n) for lo <= n <= hi on one normalized line (k, r).
-
-    With d = k - r and e = m - k - r, regime I holds for n <= d, II for
-    d < n < e and III for n >= max(e, d + 1); the constant term follows
-    the parity of r + n - k = n - d.  Only the regimes that hold some n
-    in [lo, hi] are visited, each computing its coefficients once, so a
-    point (lo = hi) costs one regime choice and one Horner step.
-    """
-    d, e = k - r, m - k - r
-    values = []
-    while lo <= hi:  # pick the regime that holds lo, and where it stops
-        coeffs, cases, stop = _regime(m, d, e, lo)
-        constants = cases[d & 1][1], cases[~d & 1][1]  # for n even, odd
-        c0, c1, c2, c3, c4 = coeffs(m, k, r)
-        for n in range(lo, min(hi + 1, stop)):
-            value, rem = divmod((((c4 * n + c3) * n + c2) * n + c1) * n
-                                + c0 + constants[n & 1], 48)
-            if rem:
-                raise ArithmeticError(
-                    f"scaled polynomial not divisible by 48 at m={m}, k={k}, "
-                    f"r={r}, n={n} (case {cases[(n - d) & 1][0]}): "
-                    f"coefficient table transcription defect")
-            values.append(value)
-        lo = n + 1
-    return values
+def _closed_form(m: int, k: int, r: int, n: int) -> int:
+    """C(m; k, r, n) at a normalized index, unchecked."""
+    coeffs, case, constant = _regime(m, k, r, n)
+    c0, c1, c2, c3, c4 = coeffs(m, k, r)
+    value, rem = divmod((((c4 * n + c3) * n + c2) * n + c1) * n + c0
+                        + constant, 48)
+    if rem:
+        raise ArithmeticError(
+            f"scaled polynomial not divisible by 48 at m={m}, k={k}, "
+            f"r={r}, n={n} (case {case}): "
+            f"coefficient table transcription defect")
+    return value
 
 
 def polynomial_case(m: int, k: int, r: int, n: int) -> str:
@@ -163,7 +149,7 @@ def polynomial_case(m: int, k: int, r: int, n: int) -> str:
     'III.3' : r + n >= m - k, m odd
     """
     _check_normalized(m, k, r, n)
-    return _regime(m, k - r, m - k - r, n)[1][(r + n - k) & 1][0]
+    return _regime(m, k, r, n)[1]
 
 
 def dim_closed_form(m: int, k: int, r: int, n: int) -> int:
@@ -172,7 +158,7 @@ def dim_closed_form(m: int, k: int, r: int, n: int) -> int:
     Requires the normalized position m/2 >= k >= r >= n >= 0.
     """
     _check_normalized(m, k, r, n)
-    return _line_dimensions(m, k, r, n, n)[0]
+    return _closed_form(m, k, r, n)
 
 
 def weight_dimensions(m: int) -> Iterator[tuple[int, int, list[int]]]:
@@ -188,12 +174,12 @@ def weight_dimensions(m: int) -> Iterator[tuple[int, int, list[int]]]:
     half = m // 2
     # rows[i][j] is rows[j][i]: C(m; sorted((i, j, l), reverse=True)) for
     # 0 <= l <= m/2.  With i >= j running downward, the entries l > j read
-    # rows already built, so each normalized line is evaluated once.
+    # rows already built, so each normalized index is evaluated once.
     rows: list[list[list[int]]] = [[[]] * (half + 1) for _ in range(half + 1)]
     for i in range(half, -1, -1):
         for j in range(i, -1, -1):
             rows[i][j] = rows[j][i] = (
-                _line_dimensions(m, i, j, 0, j)
+                [_closed_form(m, i, j, l) for l in range(j + 1)]
                 + [rows[i][l][j] for l in range(j + 1, half + 1)])
     # co-index (m - |m - 2i|) / 2 of the component m - 2i
     fold = [min(i, m - i) for i in range(m + 1)]
@@ -221,4 +207,4 @@ def dim_weight(m: int, w: Weight) -> int:
     # Ascending absolute values give descending co-indices (m - |l|) / 2,
     # each in [0, m/2]: the normalized position.
     k, r, n = (m - a1) // 2, (m - a2) // 2, (m - a3) // 2
-    return _line_dimensions(m, k, r, n, n)[0]
+    return _closed_form(m, k, r, n)

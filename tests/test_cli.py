@@ -364,8 +364,8 @@ def dominant_dimensions(m: int) -> list[list[list[int]]]:
     check_power(m)
     span = range(m // 2 + 1)
     # table[k][r][n] at the normalized indices k >= r >= n
-    table = [[dims._line_dimensions(m, k, r, 0, r) for r in range(k + 1)]
-             for k in span]
+    table = [[[dims._closed_form(m, k, r, n) for n in range(r + 1)]
+              for r in range(k + 1)] for k in span]
     cube = [[[] for _ in span] for _ in span]
     for i in span:
         for j in range(i + 1):
@@ -526,14 +526,14 @@ class TestClosedStdout:
     def test_exits_141_and_says_nothing(self, unbuffered):
         # as `symcube character 60 | head -1`: 3.3 MB of output, so the
         # writes after the first line meet a closed pipe
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "symcube.cli", "character", "60"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=child_env(unbuffered))
-        assert proc.stdout.readline() == b"60 60 60 1\n"
-        proc.stdout.close()
-        assert proc.stderr.read() == b""
-        assert proc.wait(timeout=60) == 141
+        with subprocess.Popen(
+                [sys.executable, "-m", "symcube.cli", "character", "60"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=child_env(unbuffered)) as proc:
+            assert proc.stdout.readline() == b"60 60 60 1\n"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 141
 
     def test_closed_before_the_exit_flush_exits_141(self):
         # as `symcube decompose 3 | (exec 0<&-; sleep 1)`: the whole output
@@ -716,14 +716,12 @@ class TestVerify:
         # dim_weight, the route `symcube dim` runs, with its absolute values
         # in another order; verify reads it at an unsorted, sign-flipped
         # image of each normalized index
-        line = dims._line_dimensions
-
         def dim_weight(m, w):
             a1, a2, a3 = order(w)
             if a3 > m or (m - a1) % 2 or (m - a2) % 2 or (m - a3) % 2:
                 return 0
             k, r, n = (m - a1) // 2, (m - a2) // 2, (m - a3) // 2
-            return line(m, k, r, n, n)[0]
+            return dims._closed_form(m, k, r, n)
 
         monkeypatch.setattr(dims, "dim_weight", dim_weight)
         code, out, err = run(["verify"])

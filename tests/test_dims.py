@@ -222,6 +222,28 @@ class TestClosedForm:
         assert found[5] == polynomial_case(*index)
         assert found[5].startswith(("II.", "III."))
 
+    def test_case_is_the_chamber_of_the_index(self):
+        # polynomial_case's docstring table, read off r + n, k, m - k and
+        # the parities: each regime holds its closed chamber, the wall
+        # r + n = k going to I and the wall r + n = m - k to III
+        wrong, indices = [], 0
+        for m in range(61):
+            for k in range(m // 2 + 1):
+                for r in range(k + 1):
+                    for n in range(r + 1):
+                        parity = "2" if (r + n - k) % 2 else "1"
+                        if r + n <= k:
+                            want = "I"
+                        elif r + n < m - k:
+                            want = "II." + parity
+                        else:
+                            want = "III." + ("3" if m % 2 else parity)
+                        if polynomial_case(m, k, r, n) != want:
+                            wrong.append((m, k, r, n))
+                        indices += 1
+        assert indices == 87_296
+        assert not wrong, (len(wrong), wrong[:5])
+
     @pytest.mark.parametrize("name,regimes", [
         ("_coeffs_low", {"I"}),
         ("_coeffs_mid", {"II", "III"}),  # III reads the II coefficients
@@ -264,6 +286,22 @@ class TestDominantDimensions:
                 if l1 >= 0 and l2 >= 0] == [
             [dim_closed_form(m, *sorted((i, j, l), reverse=True))
              for l in span] for i in span for j in span]
+
+
+    def test_evaluates_each_normalized_index_once(self, monkeypatch):
+        # one closed-form value per normalized index, 23,426 at m = 100,
+        # against the 132,651 values of the dominant cube
+        calls = []
+        closed_form = dims._closed_form
+
+        def counted(*index):
+            calls.append(index)
+            return closed_form(*index)
+
+        monkeypatch.setattr(dims, "_closed_form", counted)
+        for _ in dims.weight_dimensions(100):
+            pass
+        assert len(calls) == len(set(calls)) == 23_426
 
 
 class TestDimWeight:

@@ -87,7 +87,7 @@ class TestMultiplicitySym:
             raise AssertionError("the count read a weight dimension")
 
         for name in ("dim_weight", "dim_closed_form", "weight_dimensions",
-                     "_line_dimensions", "_regime"):
+                     "_closed_form", "_regime"):
             monkeypatch.setattr(dims, name, refuse)
         assert multiplicity_sym(40, (4, 8, 8)) == 3
         dec = decompose_symmetric_power(40)
@@ -272,7 +272,7 @@ class TestCharacterLines:
             raise AssertionError("the lines read a weight dimension")
 
         for name in ("dim_weight", "dim_closed_form", "weight_dimensions",
-                     "_line_dimensions", "_regime"):
+                     "_closed_form", "_regime"):
             monkeypatch.setattr(dims, name, refuse)
         lines = list(character_lines(21))
         assert len(lines) == 22 ** 2

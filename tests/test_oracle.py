@@ -115,7 +115,7 @@ class TestEnumerateCharacter:
 
         for module, name in ((dims, "dim_closed_form"),
                              (dims, "weight_dimensions"),
-                             (dims, "_line_dimensions"),
+                             (dims, "_closed_form"),
                              (characters, "character_symmetric_power")):
             monkeypatch.setattr(module, name, refuse)
         assert sum(sum(counts) for _, _, counts in enumerated_lines(10)) \
