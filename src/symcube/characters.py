@@ -15,9 +15,9 @@ its sign images, or else the largest label whose corner sum is negative.
 from collections.abc import Iterable
 from itertools import product, repeat
 
+from . import dims
 from .core import (Character, CharacterFormatError, Decomposition,
                    IrrepLabel, Weight, check_label, check_power, check_weight)
-from .dims import weight_dimensions
 
 
 class NotAModuleCharacterError(ValueError):
@@ -43,8 +43,8 @@ def character_symmetric_power(m: int) -> Character:
     values = range(m, -m - 1, -2)
     return {
         (l1, l2, l3): d
-        for l1, l2, dims in weight_dimensions(m)
-        for l3, d in zip(values, dims)
+        for l1, l2, row in dims.weight_dimensions(m)
+        for l3, d in zip(values, row)
     }
 
 

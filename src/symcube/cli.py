@@ -12,16 +12,7 @@ import sys
 from itertools import groupby
 from math import comb
 
-from .characters import decompose_entries
-from .core import character_entries
-from .dims import dim_weight
-from .multiplicity import (character_lines, decomposition_rows,
-                           multiplicity_sym)
-from .oracle import ENUMERATION_CAP, check_cap
-from .verify import CHECKS, VerificationError
-
-# the top power of `symcube verify` by --mode, when --max-m is not given
-_DEFAULT_TOP = {"ci": 12, "extended": ENUMERATION_CAP}
+from . import characters, core, dims, multiplicity, oracle, verify
 
 
 class UsageError(Exception):
@@ -120,28 +111,30 @@ def _print_scalar(args, key, triple, columns, field, value) -> None:
 
 def _cmd_dim(args) -> int:
     w = (args.l1, args.l2, args.l3)
-    _print_scalar(args, "weight", w, "l1,l2,l3", "dim", dim_weight(args.m, w))
+    _print_scalar(args, "weight", w, "l1,l2,l3", "dim",
+                  dims.dim_weight(args.m, w))
     return 0
 
 
 def _cmd_mult(args) -> int:
     label = (args.n1, args.n2, args.n3)
     _print_scalar(args, "label", label, "n1,n2,n3", "mult",
-                  multiplicity_sym(args.m, label))
+                  multiplicity.multiplicity_sym(args.m, label))
     return 0
 
 
 def _check_total(name: str, total: int, m: int) -> int:
     # exit code 0 if total is C(m+7, 7), which shares no code with the rows
     if total != (want := comb(m + 7, 7)):
-        raise VerificationError(
+        raise verify.VerificationError(
             f"{name} {total} != C(m+7, 7) = {want} at m = {m}")
     return 0
 
 
 def _cmd_decompose(args) -> int:
     m = args.m
-    total = _render_decomposition(decomposition_rows(m), args.format, m=m)
+    total = _render_decomposition(multiplicity.decomposition_rows(m),
+                                  args.format, m=m)
     return _check_total("decomposition total_dim", total, m)
 
 
@@ -157,10 +150,10 @@ def _cmd_character(args) -> int:
         cells = [f"{sep}{l3}{sep}%d\n" for l3 in range(m, -m - 1, -2)]
         head = f"%d{sep}%d"
     template, bodies, total = "\0".join(cells), {}, 0
-    for l1, l2, dims in character_lines(m):
-        total += sum(dims)
+    for l1, l2, row in multiplicity.character_lines(m):
+        total += sum(row)
         if l2 >= 0:
-            bodies[l2] = template % tuple(dims)
+            bodies[l2] = template % tuple(row)
         line_head = head % (l1, l2)
         table.write(line_head
                     + bodies[abs(l2)].replace("\0", between + line_head))
@@ -173,7 +166,7 @@ def _cmd_greedy(args) -> int:
     # the file's dimensions, summed as they are read, are the reference of
     # the rendered total
     with open(args.file, encoding="utf-8") as fh:
-        entries = character_entries(fh.read())
+        entries = core.character_entries(fh.read())
     read = 0
 
     def summed():
@@ -183,18 +176,20 @@ def _cmd_greedy(args) -> int:
             yield entry
 
     # one group per count row (n1, n2), as decompose writes them
-    rows = groupby(decompose_entries(summed()).items(), lambda e: e[0][:2])
+    rows = groupby(characters.decompose_entries(summed()).items(),
+                   lambda e: e[0][:2])
     total = _render_decomposition((list(g) for _, g in rows), args.format)
     if total != read:
-        raise VerificationError(f"greedy total_dim {total} != {read}, the "
-                                f"sum of the file's dimensions")
+        raise verify.VerificationError(
+            f"greedy total_dim {total} != {read}, the sum of the file's "
+            f"dimensions")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    top = _DEFAULT_TOP[args.mode] if args.max_m is None else args.max_m
-    check_cap(top)
-    for check, bound, template in CHECKS:
+    top = verify.MODES[args.mode] if args.max_m is None else args.max_m
+    oracle.check_cap(top)
+    for check, bound, template in verify.CHECKS:
         print(template.format(depth := bound(top), check(depth)))
     print("all checks passed")
     return 0
@@ -239,9 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "cross-check the formulas against brute-force counts"))
     p.add_argument("--max-m", type=_nonneg, help=(
         "largest power for the character and decomposition comparisons "
-        f"(default: {_DEFAULT_TOP['ci']} in ci mode, "
-        f"{_DEFAULT_TOP['extended']} in extended mode)"))
-    p.add_argument("--mode", choices=tuple(_DEFAULT_TOP), default="ci",
+        f"(default: {verify.MODES['ci']} in ci mode, "
+        f"{verify.MODES['extended']} in extended mode)"))
+    p.add_argument("--mode", choices=tuple(verify.MODES), default="ci",
                    help="preset verification depth (default: ci)")
     p.set_defaults(func=_cmd_verify)
 
@@ -262,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # as by `| head`; devnull takes the final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except VerificationError as exc:
+    except verify.VerificationError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError, ArithmeticError, MemoryError) as exc:

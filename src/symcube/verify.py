@@ -1,10 +1,11 @@
 """Cross-checks of the formulas against independent computations.  Each
 check returns its case count and raises VerificationError at the first
 disagreement; a function replaced on its module is the one checked.
-``symcube verify`` runs CHECKS: (check, bound of the top power, report).
+``symcube verify`` runs CHECKS: (check, bound of the top power, report),
+with the top power that MODES gives its --mode unless --max-m is given.
 """
 
-from itertools import chain, starmap, zip_longest
+from itertools import chain, product, starmap, zip_longest
 from operator import ne
 
 from . import characters, core, dims, multiplicity, oracle
@@ -53,6 +54,33 @@ def check_dimensions(top_m: int) -> int:
     return cases
 
 
+def check_corner_sums(top_m: int) -> int:
+    """The count multiplicity_sym, the route of ``symcube mult``, vs the
+    alternating sum of dim_weight over the eight corners t + {0, 2}^3
+    (Fulton and Harris, section 11): at every label t of S^m, m <= top_m,
+    and at 100 labels seeded by m with co-indices (m - ti) / 2 <= 40 at
+    each of m = 10^12 and 10^12 + 1, far beyond any table."""
+    import random  # here, so that no other command imports it
+
+    core.check_power(top_m)
+    cases = [(m, t) for m in range(top_m + 1)
+             for t in product(range(m, -1, -2), repeat=3)]
+    for m in (10 ** 12, 10 ** 12 + 1):
+        rng = random.Random(m)
+        cases += [(m, tuple(m - 2 * rng.randint(0, 40) for _ in "123"))
+                  for _ in range(100)]
+    for m, (n1, n2, n3) in cases:
+        count = multiplicity.multiplicity_sym(m, (n1, n2, n3))
+        corners = sum((-1) ** ((a + b + c) // 2)
+                      * dims.dim_weight(m, (n1 + a, n2 + b, n3 + c))
+                      for a, b, c in product((0, 2), repeat=3))
+        if count != corners:
+            raise VerificationError(
+                f"multiplicity_sym {count} != eight-corner sum {corners} "
+                f"at m = {m}, label {n1, n2, n3}")
+    return len(cases)
+
+
 def check_characters(top_m: int) -> int:
     """Routes to the character of S^m, m <= top_m, each held one line at a
     time: the closed form, monomial enumeration (one l1 plane of (m+1)^2
@@ -94,9 +122,15 @@ CHECKS = (
     (check_dimensions, lambda top: 16,
      "weight dimensions: closed form == convolution == pair enumeration "
      "for m <= {0} ({1} indices)"),
+    (check_corner_sums, lambda top: 8,
+     "multiplicities: covariant count == eight-corner sums of closed forms "
+     "for m <= {0} and at m = 10^12, 10^12 + 1 ({1} labels)"),
     (check_characters, lambda top: top,
      "characters: monomial enumeration == covariant count prefix sums == "
      "closed forms for m <= {0}"),
     (check_greedy, lambda top: top,
      "decompositions: greedy == covariant count for m <= {0}"),
 )
+
+# the top power of ``symcube verify`` by --mode
+MODES = {"ci": 12, "extended": oracle.ENUMERATION_CAP}

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from symcube import cli, dims, multiplicity, verify
+from symcube import characters, cli, dims, multiplicity, verify
 from symcube.cli import main
 from symcube.core import character_entries, check_power
 from symcube.multiplicity import character_lines
@@ -425,7 +425,7 @@ class TestDecomposeStreams:
         assert peaks[1] < 2 * peaks[0], peaks
 
     def test_wrong_total_exits_3(self, monkeypatch):
-        real_rows = cli.decomposition_rows
+        real_rows = multiplicity.decomposition_rows
         real_plane = multiplicity._count_plane
 
         def wrong_rows(m):
@@ -443,7 +443,7 @@ class TestDecomposeStreams:
         # a wrong row as the command reads it, and a wrong count in the
         # row form that decompose shares with character
         for module, name, wrong, m in (
-                (cli, "decomposition_rows", wrong_rows, 12),
+                (multiplicity, "decomposition_rows", wrong_rows, 12),
                 (multiplicity, "_count_plane", wrong_plane, 7)):
             with monkeypatch.context() as patch:
                 patch.setattr(module, name, wrong)
@@ -570,11 +570,11 @@ def test_child_prints_what_main_prints(tmp_path, unbuffered):
 class TestOutOfMemory:
     def test_exits_2_with_one_error_line(self):
         # the child alone runs in a 256 MiB address space, where
-        # `character 20000` cannot build its first count plane
+        # `decompose 100000000` cannot build its first count row
         src = Path(cli.__file__).resolve().parents[1]
         limit = 256 << 20
         proc = subprocess.run(
-            [sys.executable, "-m", "symcube.cli", "character", "20000"],
+            [sys.executable, "-m", "symcube.cli", "decompose", "100000000"],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60,
             env={**os.environ, "PYTHONPATH": str(src)},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
@@ -605,6 +605,20 @@ class TestCharacter:
         payload = json.loads(out)
         assert payload["total"] == 36
         assert {"weight": [0, 0, 0], "dim": 4} in payload["entries"]
+
+    def test_a_power_above_the_cap_exits_2_before_any_state(self,
+                                                            monkeypatch):
+        cap = multiplicity.CHARACTER_CAP
+        assert next(character_lines(cap))[:2] == (cap, cap)
+
+        def refuse(*args):
+            raise AssertionError("a count plane was built")
+
+        monkeypatch.setattr(multiplicity, "_count_plane", refuse)
+        for fmt in ("text", "json", "csv"):
+            assert run(["character", str(cap + 1), "--format", fmt]) == (
+                2, "", f"error: character cap exceeded: m={cap + 1} > "
+                       f"cap={cap}\n")
 
 
 class TestGreedy:
@@ -639,13 +653,13 @@ class TestGreedy:
         # of the table, which is printed first
         path = tmp_path / "s5.char"
         write_character(path, 5)
-        real = cli.decompose_entries
+        real = characters.decompose_entries
 
         def off_by_one(entries):
             (label, x), *rest = real(entries).items()
             return dict([(label, x + 1), *rest])
 
-        monkeypatch.setattr(cli, "decompose_entries", off_by_one)
+        monkeypatch.setattr(characters, "decompose_entries", off_by_one)
         code, out, err = run(["greedy", str(path)])
         assert code == 3
         assert out.startswith("5 5 5 2\n")
@@ -729,6 +743,26 @@ class TestVerify:
         assert err.startswith(
             "mismatch: dimensions diverge at (m, k, r, n) = "), err
 
+    @pytest.mark.parametrize("mutant,at", [("huge", "m = 1000000000000, "),
+                                           ("floor", "m = 2, label (0, 0, 0)")])
+    def test_a_wrong_count_exits_3(self, monkeypatch, mutant, at):
+        # multiplicity_sym, the route `symcube mult` runs, one too high at
+        # labels above 10^6, or with (1 - h) // 2 written (-h) // 2
+        real = multiplicity.multiplicity_sym
+
+        def count(m, label):
+            x, h = real(m, label), (sum(label) - m) // 2
+            if mutant == "huge":
+                return x + (x > 0 and h > 0 and min(label) > 10 ** 6)
+            if any(v > m or (v - m) % 2 for v in label):
+                return 0
+            return max(0, (min(label) - h) // 2 + 1 - max(0, -h // 2))
+
+        monkeypatch.setattr(multiplicity, "multiplicity_sym", count)
+        code, out, err = run(["verify"])
+        assert (code, len(out.splitlines())) == (3, 2)
+        assert err.startswith("mismatch: multiplicity_sym "), err
+        assert f" at {at}" in err, err
 
     @pytest.mark.parametrize("argv,top", [
         ([], 12),
@@ -742,6 +776,8 @@ class TestVerify:
             "2x2 matrix counts: closed form == brute force for r1 <= 40\n"
             "weight dimensions: closed form == convolution == pair "
             "enumeration for m <= 16 (825 indices)\n"
+            "multiplicities: covariant count == eight-corner sums of closed "
+            "forms for m <= 8 and at m = 10^12, 10^12 + 1 (525 labels)\n"
             "characters: monomial enumeration == covariant count prefix "
             f"sums == closed forms for m <= {top}\n"
             f"decompositions: greedy == covariant count for m <= {top}\n"
@@ -749,7 +785,7 @@ class TestVerify:
 
     def test_runs_and_reports_the_table_in_order(self, monkeypatch):
         checks = run(["verify", "--max-m", "3"])[1].splitlines()[:-1]
-        calls = []
+        real, calls = verify.CHECKS, []
 
         def record(top):
             calls.append(top)
@@ -758,14 +794,14 @@ class TestVerify:
         def fail(top):
             raise verify.VerificationError("extra entry")
 
-        monkeypatch.setattr(cli, "CHECKS", (
-            *verify.CHECKS, (record, lambda top: top - 1, "extra {0} {1}")))
+        monkeypatch.setattr(verify, "CHECKS", (
+            *real, (record, lambda top: top - 1, "extra {0} {1}")))
         assert run(["verify", "--max-m", "3"]) == (
             0, "\n".join([*checks, "extra 2 7", "all checks passed\n"]), "")
         assert calls == [2]
         # a failing entry stops the run after the lines before it
-        monkeypatch.setattr(cli, "CHECKS", (
-            *verify.CHECKS, (fail, lambda top: top, "extra {0} {1}"),
+        monkeypatch.setattr(verify, "CHECKS", (
+            *real, (fail, lambda top: top, "extra {0} {1}"),
             (record, lambda top: top, "after {0} {1}")))
         assert run(["verify", "--max-m", "3"]) == (
             3, "\n".join([*checks, ""]), "mismatch: extra entry\n")
@@ -781,8 +817,8 @@ class TestVerify:
                 "decomposition comparisons (default: 12 in ci mode, 20 in "
                 "extended mode)") in " ".join(capsys.readouterr().out.split())
         # the bounds that the help names are the ones that run
-        assert [bound(12) for _, bound, _ in verify.CHECKS[2:]] == [12, 12]
-        assert [check.__name__ for check, _, _ in verify.CHECKS[2:]] == [
+        assert [bound(12) for _, bound, _ in verify.CHECKS[3:]] == [12, 12]
+        assert [check.__name__ for check, _, _ in verify.CHECKS[3:]] == [
             "check_characters", "check_greedy"]
 
     def test_max_m_beyond_the_oracle_cap_exits_2_at_once(self, monkeypatch):
@@ -790,6 +826,32 @@ class TestVerify:
         monkeypatch.setattr("symcube.dims.c2", lambda r1, r2, r3: r1 + 1)
         assert run(["verify", "--max-m", "21"]) == (
             2, "", "error: oracle cap exceeded: m=21 > cap=20\n")
+
+
+@pytest.mark.parametrize("route,argv", [
+    ("dims.dim_weight", ["dim", "4", "0", "0", "0"]),
+    ("multiplicity.multiplicity_sym", ["mult", "4", "0", "0", "0"]),
+    ("multiplicity.decomposition_rows", ["decompose", "2"]),
+    ("multiplicity.character_lines", ["character", "1"]),
+    ("core.character_entries", ["greedy", "s1.char"]),
+    ("characters.decompose_entries", ["greedy", "s1.char"]),
+    ("verify.CHECKS", ["verify", "--max-m", "1"]),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_a_route_replaced_on_its_module_reaches_its_command(
+        route, argv, tmp_path, monkeypatch):
+    # every command looks its route up on the route's module when it runs,
+    # as verify's checks do, so the route that verify checks is the one
+    # that the command runs, replaced or not
+    monkeypatch.chdir(tmp_path)
+    write_character(tmp_path / "s1.char", 1)
+
+    def replaced(*args):
+        raise ValueError(f"replaced {route}")
+
+    monkeypatch.setattr(f"symcube.{route}", (
+        ((replaced, lambda top: top, "{0}"),) if route == "verify.CHECKS"
+        else replaced))
+    assert run(argv) == (2, "", f"error: replaced {route}\n")
 
 
 class TestUsageErrors:

@@ -13,6 +13,7 @@ from symcube.verify import (
     VerificationError,
     check_c2,
     check_characters,
+    check_corner_sums,
     check_dimensions,
     check_greedy,
 )
@@ -181,8 +182,9 @@ class TestEnumerateCharacter:
         assert peak < 500_000, peak
 
 
-@pytest.mark.parametrize(
-    "check", [check_c2, check_dimensions, check_characters, check_greedy])
+@pytest.mark.parametrize("check", [check_c2, check_dimensions,
+                                   check_corner_sums, check_characters,
+                                   check_greedy])
 @pytest.mark.parametrize("bound", [True, 3.0, -1, "2"])
 def test_checks_reject_a_bound_that_is_not_a_non_negative_int(check, bound):
     with pytest.raises(ValueError, match=re.escape(f"int, got {bound!r}")):
