@@ -12,7 +12,7 @@ import sys
 from itertools import groupby
 from math import comb
 
-from . import characters, core, dims, multiplicity, oracle, verify
+from . import core, oracle  # each _cmd_* imports its own route modules
 
 
 class UsageError(Exception):
@@ -110,6 +110,8 @@ def _print_scalar(args, key, triple, columns, field, value) -> None:
 
 
 def _cmd_dim(args) -> int:
+    from . import dims
+
     w = (args.l1, args.l2, args.l3)
     _print_scalar(args, "weight", w, "l1,l2,l3", "dim",
                   dims.dim_weight(args.m, w))
@@ -117,6 +119,8 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_mult(args) -> int:
+    from . import multiplicity
+
     label = (args.n1, args.n2, args.n3)
     _print_scalar(args, "label", label, "n1,n2,n3", "mult",
                   multiplicity.multiplicity_sym(args.m, label))
@@ -126,12 +130,14 @@ def _cmd_mult(args) -> int:
 def _check_total(name: str, total: int, m: int) -> int:
     # exit code 0 if total is C(m+7, 7), which shares no code with the rows
     if total != (want := comb(m + 7, 7)):
-        raise verify.VerificationError(
+        raise core.VerificationError(
             f"{name} {total} != C(m+7, 7) = {want} at m = {m}")
     return 0
 
 
 def _cmd_decompose(args) -> int:
+    from . import multiplicity
+
     m = args.m
     total = _render_decomposition(multiplicity.decomposition_rows(m),
                                   args.format, m=m)
@@ -139,6 +145,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_character(args) -> int:
+    from . import multiplicity
+
     # (l1, l2) and (l1, -l2) share one % of the template, whose NULs take
     # each line's head
     m, table = args.m, _Table(args.format, args.m, character=True)
@@ -162,6 +170,8 @@ def _cmd_character(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
+    from . import characters
+
     # the entries hold the only reference to the text, freed once read;
     # the file's dimensions, summed as they are read, are the reference of
     # the rendered total
@@ -180,14 +190,16 @@ def _cmd_greedy(args) -> int:
                    lambda e: e[0][:2])
     total = _render_decomposition((list(g) for _, g in rows), args.format)
     if total != read:
-        raise verify.VerificationError(
+        raise core.VerificationError(
             f"greedy total_dim {total} != {read}, the sum of the file's "
             f"dimensions")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    top = verify.MODES[args.mode] if args.max_m is None else args.max_m
+    from . import verify
+
+    top = oracle.MODES[args.mode] if args.max_m is None else args.max_m
     oracle.check_cap(top)
     for check, bound, template in verify.CHECKS:
         print(template.format(depth := bound(top), check(depth)))
@@ -234,9 +246,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "cross-check the formulas against brute-force counts"))
     p.add_argument("--max-m", type=_nonneg, help=(
         "largest power for the character and decomposition comparisons "
-        f"(default: {verify.MODES['ci']} in ci mode, "
-        f"{verify.MODES['extended']} in extended mode)"))
-    p.add_argument("--mode", choices=tuple(verify.MODES), default="ci",
+        f"(default: {oracle.MODES['ci']} in ci mode, "
+        f"{oracle.MODES['extended']} in extended mode)"))
+    p.add_argument("--mode", choices=tuple(oracle.MODES), default="ci",
                    help="preset verification depth (default: ci)")
     p.set_defaults(func=_cmd_verify)
 
@@ -257,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # as by `| head`; devnull takes the final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except verify.VerificationError as exc:
+    except core.VerificationError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError, ArithmeticError, MemoryError) as exc:

@@ -30,6 +30,10 @@ class CharacterFormatError(ValueError):
     """A character file violates the line format."""
 
 
+class VerificationError(Exception):
+    """Two routes to the same quantity disagree."""
+
+
 def check_power(m: int) -> None:
     """Raise ValueError unless m is a non-negative int (bool excluded)."""
     if type(m) is not int or m < 0:

@@ -15,6 +15,8 @@ from operator import add
 from .core import check_power
 
 ENUMERATION_CAP = 20  # largest power enumerated: C(27, 7) = 888,030 monomials
+# the top power of ``symcube verify`` by --mode
+MODES = {"ci": 12, "extended": ENUMERATION_CAP}
 
 
 class OracleCapError(ValueError):

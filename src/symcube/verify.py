@@ -2,17 +2,16 @@
 check returns its case count and raises VerificationError at the first
 disagreement; a function replaced on its module is the one checked.
 ``symcube verify`` runs CHECKS: (check, bound of the top power, report),
-with the top power that MODES gives its --mode unless --max-m is given.
+with the top power that oracle.MODES gives its --mode unless --max-m is
+given.
 """
 
+import random
 from itertools import chain, product, starmap, zip_longest
 from operator import ne
 
 from . import characters, core, dims, multiplicity, oracle
-
-
-class VerificationError(Exception):
-    """Two routes to the same quantity disagree."""
+from .core import VerificationError
 
 
 def check_c2(top_r1: int) -> int:
@@ -60,8 +59,6 @@ def check_corner_sums(top_m: int) -> int:
     (Fulton and Harris, section 11): at every label t of S^m, m <= top_m,
     and at 100 labels seeded by m with co-indices (m - ti) / 2 <= 40 at
     each of m = 10^12 and 10^12 + 1, far beyond any table."""
-    import random  # here, so that no other command imports it
-
     core.check_power(top_m)
     cases = [(m, t) for m in range(top_m + 1)
              for t in product(range(m, -1, -2), repeat=3)]
@@ -131,6 +128,3 @@ CHECKS = (
     (check_greedy, lambda top: top,
      "decompositions: greedy == covariant count for m <= {0}"),
 )
-
-# the top power of ``symcube verify`` by --mode
-MODES = {"ci": 12, "extended": oracle.ENUMERATION_CAP}

@@ -854,6 +854,77 @@ def test_a_route_replaced_on_its_module_reaches_its_command(
     assert run(argv) == (2, "", f"error: replaced {route}\n")
 
 
+# a fresh child runs `symcube ARGS...` (or, with no ARGS, only imports the
+# package) and prints the symcube modules it loaded to stderr
+LOADED = """import sys
+import symcube
+if sys.argv[1:]:
+    from symcube import cli
+    assert cli.main(sys.argv[1:]) == 0
+print(*sorted(n[8:] for n in sys.modules if n.startswith("symcube.")),
+      file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    ([], ""),
+    (["decompose", "3"], "cli core multiplicity oracle"),
+    (["character", "3"], "cli core multiplicity oracle"),
+    (["dim", "4", "0", "0", "0"], "cli core dims oracle"),
+    (["mult", "4", "0", "0", "0"], "cli core multiplicity oracle"),
+    (["greedy", "s3.char"], "characters cli core dims oracle"),
+    (["verify", "--max-m", "0"],
+     "characters cli core dims multiplicity oracle verify"),
+], ids=["import symcube", "decompose", "character", "dim", "mult", "greedy",
+        "verify"])
+def test_each_command_loads_only_its_modules(argv, loaded, tmp_path):
+    # `import symcube` loads no submodule, and a command loads its routes'
+    # modules, oracle (the --mode table the parser reads) and core
+    write_character(tmp_path / "s3.char", 3)
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv],
+                          cwd=tmp_path, env=child_env(False),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, loaded + "\n")
+
+
+def test_the_exports_resolve_to_their_homes_on_first_use():
+    homes = {
+        "characters": "NotAModuleCharacterError character_irrep "
+                      "character_symmetric_power greedy_decompose",
+        "core": "Character CharacterFormatError Decomposition IrrepLabel "
+                "Weight",
+        "dims": "c2 dim_by_convolution dim_closed_form dim_weight "
+                "polynomial_case",
+        "multiplicity": "decompose_symmetric_power multiplicity_sym",
+        "oracle": "OracleCapError c2_bruteforce convolution_bruteforce",
+    }
+    code = """import json, sys
+import symcube
+homes = json.loads(sys.argv[1])
+modules = [m for m in homes
+           if getattr(symcube, m) is sys.modules["symcube." + m]]
+try:
+    symcube.no_such_name
+except AttributeError as exc:
+    missing = str(exc)
+star = {}
+exec("from symcube import *", star)
+del star["__builtins__"]
+same = sorted(name for m, names in homes.items() for name in names.split()
+              if star[name] is getattr(sys.modules["symcube." + m], name))
+print(json.dumps([modules, missing, sorted(star), symcube.__all__, same]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(homes)],
+                          env=child_env(False), capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    modules, missing, star, exports, same = json.loads(proc.stdout)
+    assert modules == list(homes)
+    assert "'no_such_name'" in missing
+    assert star == sorted(exports) and len(exports) == 19
+    assert same == sorted(" ".join(homes.values()).split()) == star
+
+
 class TestUsageErrors:
     def test_missing_arguments(self):
         code, _, err = run(["dim", "40"])
