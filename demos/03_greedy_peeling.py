@@ -12,7 +12,7 @@ highest weight: subtract that many copies of its character and move on.
 """
 
 from symcube import character_irrep, character_symmetric_power, greedy_decompose
-from symcube.verify import check_greedy
+from symcube.verify import check_characters
 
 # Watch the sweep decompose S^3 by hand.
 character = character_symmetric_power(3)
@@ -35,7 +35,7 @@ print("\ngreedy_decompose(ch S^3):", greedy_decompose(character))
 
 # Both decomposition routes agree on every symmetric power: the eight-corner
 # sums of the closed-form character and the count of covariant monomials.
-check_greedy(8)
+check_characters(8)
 print("greedy == covariant count for m <= 8")
 
 # The same pass rejects inputs that are not module characters and names

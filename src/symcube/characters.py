@@ -15,7 +15,6 @@ its sign images, or else the largest label whose corner sum is negative.
 from collections.abc import Iterable
 from itertools import product, repeat
 
-from . import dims
 from .core import (Character, CharacterFormatError, Decomposition,
                    IrrepLabel, Weight, check_label, check_power, check_weight)
 
@@ -39,6 +38,8 @@ def character_symmetric_power(m: int) -> Character:
     mod 2, inserted in descending lexicographic order; the dimensions sum
     to C(m+7, 7).
     """
+    from . import dims
+
     check_power(m)
     values = range(m, -m - 1, -2)
     return {

@@ -50,10 +50,10 @@ def enumerated_lines(m: int) -> Iterator[tuple[int, int, list[int]]]:
     """
     check_cap(m)
     b, values = m + 1, range(m, -m - 1, -2)
-    sums = [list(map(sum, combinations_with_replacement((0, 1, b, b + 1), s)))
-            for s in range(b)]  # code sums of the size-s multisets
-    for k, l1 in enumerate(values):
-        codes = Counter(starmap(add, product(sums[m - k], sums[k])))
+    for k, l1 in enumerate(values):  # code sums of sizes m - k and k only
+        codes = Counter(starmap(add, product(*(
+            map(sum, combinations_with_replacement((0, 1, b, b + 1), s))
+            for s in (m - k, k)))))
         plane = [codes[code] for code in range(b * b)]
         for l2, i in zip(values, range(0, b * b, b)):
             yield l1, l2, plane[i:i + b]

@@ -1,9 +1,10 @@
-"""Cross-checks of the formulas against independent computations.  Each
-check returns its case count and raises VerificationError at the first
-disagreement; a function replaced on its module is the one checked.
-``symcube verify`` runs CHECKS: (check, bound of the top power, report),
-with the top power that oracle.MODES gives its --mode unless --max-m is
-given.
+"""Cross-checks of the formulas against independent computations, one
+check per quantity; those of the weight dimensions and the character
+enumerate only up to oracle.ENUMERATION_CAP.  Each check returns its case
+count and raises VerificationError at the first disagreement; a function
+replaced on its module is the one checked.  ``symcube verify`` runs
+CHECKS: (check, bound of the top power, report), with the top power that
+oracle.MODES gives its --mode unless --max-m is given.
 """
 
 import random
@@ -79,32 +80,30 @@ def check_corner_sums(top_m: int) -> int:
 
 
 def check_characters(top_m: int) -> int:
-    """Routes to the character of S^m, m <= top_m, each held one line at a
-    time: the closed form, monomial enumeration (one l1 plane of (m+1)^2
-    weights at a time) and the covariant count prefix sums."""
+    """Routes to the character and decomposition of S^m, m <= top_m, one
+    line or row at a time: each closed-form line vs the count prefix sums
+    and, where m <= oracle.ENUMERATION_CAP, monomial enumeration (one l1
+    plane at a time), then fed to greedy (eight-corner sums, as ``symcube
+    greedy`` reads a file), whose result is compared in order with the
+    count rows that ``symcube decompose`` prints."""
     core.check_power(top_m)
-    for m in range(top_m + 1):
-        for closed, enumerated, counted in zip_longest(
-                dims.weight_dimensions(m), oracle.enumerated_lines(m),
-                multiplicity.character_lines(m)):
-            if closed != enumerated:
+
+    def entries(m):
+        values, enumerating = range(m, -m - 1, -2), m <= oracle.ENUMERATION_CAP
+        for closed, counted, enumerated in zip_longest(
+                dims.weight_dimensions(m), multiplicity.character_lines(m),
+                oracle.enumerated_lines(m) if enumerating else ()):
+            if enumerating and closed != enumerated:
                 raise VerificationError(f"monomial enumeration differs from "
                                         f"closed-form character at m = {m}")
             if closed != counted:
                 raise VerificationError(f"count prefix sums differ at m = {m}")
-    return top_m + 1
+            l1, l2, row = closed
+            for l3, d in zip(values, row):
+                yield 0, (l1, l2, l3), d
 
-
-def check_greedy(top_m: int) -> int:
-    """Greedy (eight-corner sums of the closed-form character, read as
-    ``symcube greedy`` reads a file) vs the covariant count rows that
-    ``symcube decompose`` prints, in order, of S^m, m <= top_m."""
-    core.check_power(top_m)
     for m in range(top_m + 1):
-        values = range(m, -m - 1, -2)
-        greedy = characters.decompose_entries(
-            (0, (l1, l2, l3), d) for l1, l2, row in dims.weight_dimensions(m)
-            for l3, d in zip(values, row))
+        greedy = characters.decompose_entries(entries(m))
         rows = chain.from_iterable(multiplicity.decomposition_rows(m))
         if any(starmap(ne, zip_longest(greedy.items(), rows))):
             raise VerificationError(
@@ -123,8 +122,7 @@ CHECKS = (
      "multiplicities: covariant count == eight-corner sums of closed forms "
      "for m <= {0} and at m = 10^12, 10^12 + 1 ({1} labels)"),
     (check_characters, lambda top: top,
-     "characters: monomial enumeration == covariant count prefix sums == "
-     "closed forms for m <= {0}"),
-    (check_greedy, lambda top: top,
-     "decompositions: greedy == covariant count for m <= {0}"),
+     "characters and decompositions: monomial enumeration == covariant "
+     "count prefix sums == closed forms, greedy == covariant count for "
+     "m <= {0}"),
 )

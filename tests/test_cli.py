@@ -778,9 +778,9 @@ class TestVerify:
             "enumeration for m <= 16 (825 indices)\n"
             "multiplicities: covariant count == eight-corner sums of closed "
             "forms for m <= 8 and at m = 10^12, 10^12 + 1 (525 labels)\n"
-            "characters: monomial enumeration == covariant count prefix "
-            f"sums == closed forms for m <= {top}\n"
-            f"decompositions: greedy == covariant count for m <= {top}\n"
+            "characters and decompositions: monomial enumeration == "
+            "covariant count prefix sums == closed forms, greedy == "
+            f"covariant count for m <= {top}\n"
             "all checks passed\n"), "")
 
     def test_runs_and_reports_the_table_in_order(self, monkeypatch):
@@ -817,9 +817,9 @@ class TestVerify:
                 "decomposition comparisons (default: 12 in ci mode, 20 in "
                 "extended mode)") in " ".join(capsys.readouterr().out.split())
         # the bounds that the help names are the ones that run
-        assert [bound(12) for _, bound, _ in verify.CHECKS[3:]] == [12, 12]
+        assert [bound(12) for _, bound, _ in verify.CHECKS[3:]] == [12]
         assert [check.__name__ for check, _, _ in verify.CHECKS[3:]] == [
-            "check_characters", "check_greedy"]
+            "check_characters"]
 
     def test_max_m_beyond_the_oracle_cap_exits_2_at_once(self, monkeypatch):
         # a check that ran would fail with exit 3
@@ -872,7 +872,7 @@ print(*sorted(n[8:] for n in sys.modules if n.startswith("symcube.")),
     (["character", "3"], "cli core multiplicity oracle"),
     (["dim", "4", "0", "0", "0"], "cli core dims oracle"),
     (["mult", "4", "0", "0", "0"], "cli core multiplicity oracle"),
-    (["greedy", "s3.char"], "characters cli core dims oracle"),
+    (["greedy", "s3.char"], "characters cli core oracle"),
     (["verify", "--max-m", "0"],
      "characters cli core dims multiplicity oracle verify"),
 ], ids=["import symcube", "decompose", "character", "dim", "mult", "greedy",

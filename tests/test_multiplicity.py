@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from collections import Counter
 from itertools import permutations, product
 from math import comb
@@ -13,13 +12,9 @@ from symcube import (
     decompose_symmetric_power,
     multiplicity_sym,
 )
-from symcube import characters, dims, multiplicity, verify
+from symcube import characters, dims, multiplicity, oracle, verify
 from symcube.multiplicity import character_lines, decomposition_rows
-from symcube.verify import (
-    VerificationError,
-    check_characters,
-    check_greedy,
-)
+from symcube.verify import VerificationError, check_characters
 
 
 def cube_differences(m):
@@ -200,7 +195,7 @@ class TestCheckGreedy:
     def test_count_matches_the_corner_sums_to_m_30(self):
         # the eight-corner sums of the closed-form character are the route
         # independent of the covariant count
-        assert check_greedy(30) == 31
+        assert check_characters(30) == 31
 
     def test_detects_one_wrong_multiplicity_at_m_7(self, monkeypatch):
         real_rows = multiplicity.decomposition_rows
@@ -214,7 +209,7 @@ class TestCheckGreedy:
 
         monkeypatch.setattr(multiplicity, "decomposition_rows", off_by_one)
         with pytest.raises(VerificationError, match=r"at m = 7$"):
-            check_greedy(10)
+            check_characters(10)
 
     def test_names_planes_with_their_rows_reversed(self, monkeypatch):
         # the rows `symcube decompose` prints, compared in order: the same
@@ -224,7 +219,7 @@ class TestCheckGreedy:
         monkeypatch.setattr(multiplicity, "decomposition_rows",
                             lambda m: (row[::-1] for row in real_rows(m)))
         with pytest.raises(VerificationError, match=r"at m = 3$"):
-            check_greedy(10)
+            check_characters(10)
 
     def test_reads_only_the_streamed_routes(self, monkeypatch):
         # every check at ci depth, with the dict builders refused
@@ -235,19 +230,7 @@ class TestCheckGreedy:
         monkeypatch.setattr(characters, "greedy_decompose", refuse)
         monkeypatch.setattr(multiplicity, "decompose_symmetric_power", refuse)
         assert [check(bound(12)) for check, bound, _ in verify.CHECKS] == [
-            sum((r1 + 1) ** 2 for r1 in range(41)), 825, 525, 13, 13]
-
-    def test_holds_one_plane_at_a_time(self):
-        # the two whole S^20 decompositions and the character dict peaked
-        # at 1.94 MB traced
-        check_greedy(3)
-        tracemalloc.start()
-        try:
-            check_greedy(20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 500_000, peak
+            sum((r1 + 1) ** 2 for r1 in range(41)), 825, 525, 13]
 
 
 class TestCharacterLines:
@@ -301,3 +284,23 @@ class TestCheckCharacterLines:
         with pytest.raises(VerificationError) as raised:
             check_characters(10)
         assert str(raised.value) == "count prefix sums differ at m = 7"
+
+    def test_detects_one_wrong_count_above_the_oracle_cap(self, monkeypatch):
+        # above ENUMERATION_CAP the closed form meets the count alone
+        plane, enumerated = multiplicity._count_plane, oracle.enumerated_lines
+
+        def off_by_one(m, a):
+            rows = list(plane(m, a))
+            if (m, a) == (25, 1):
+                rows[2][3] += 1
+            return rows
+
+        def capped(m):
+            assert m <= oracle.ENUMERATION_CAP, f"enumerated S^{m}"
+            return enumerated(m)
+
+        monkeypatch.setattr(multiplicity, "_count_plane", off_by_one)
+        monkeypatch.setattr(oracle, "enumerated_lines", capped)
+        with pytest.raises(VerificationError) as raised:
+            check_characters(25)
+        assert str(raised.value) == "count prefix sums differ at m = 25"

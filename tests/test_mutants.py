@@ -1,0 +1,139 @@
+"""A standing catalogue of mutants of the routes that `symcube verify`
+checks.  Each mutant replaces one module attribute, as a wrong edit to
+that one function would, and each case runs verify.CHECKS at ci depth
+and asserts which check names the mutant first and with what message.
+verify looks each route up on its module when it runs, so the replaced
+attribute is the route its checks read.  The test id starts with the
+check that names the mutant.
+"""
+
+import pytest
+
+from symcube import characters, dims, multiplicity, oracle, verify
+from symcube.verify import VerificationError
+
+GREEDY = ("greedy (eight-corner sums of the closed-form character) vs "
+          "covariant count decompositions differ at m = {}")
+ENUMERATION = ("monomial enumeration differs from closed-form character "
+               "at m = {}")
+COUNT = "count prefix sums differ at m = {}"
+
+
+def at_power(power, change):
+    """A mutant of a route by power whose output, listed, goes through
+    change at that power only."""
+    def make(real):
+        return lambda m: iter(change(list(real(m))) if m == power else real(m))
+    return make
+
+
+def bump(index, n):
+    """Add one to the n-th dimension of the line at index."""
+    def change(lines):
+        l1, l2, row = lines[index]
+        lines[index] = (l1, l2, row[:n] + [row[n] + 1] + row[n + 1:])
+        return lines
+    return change
+
+
+def count_plane_bumped(real):
+    # one count of the plane a = 1 of S^7
+    def mutant(m, a):
+        rows = list(real(m, a))
+        if (m, a) == (7, 1):
+            rows[2][3] += 1
+        return rows
+    return mutant
+
+
+def top_label_bumped(real):
+    def mutant(entries):
+        result = real(entries)
+        result[next(iter(result))] += 1
+        return result
+    return mutant
+
+
+def floor_of_minus_h(real):
+    # multiplicity_sym with (1 - h) // 2 written (-h) // 2
+    def mutant(m, label):
+        if any(v > m or (v - m) % 2 for v in label):
+            return 0
+        h = (sum(label) - m) // 2
+        return max(0, (min(label) - h) // 2 + 1 - max(0, (-h) // 2))
+    return mutant
+
+
+def huge_label_bumped(real):
+    # one too high at positive counts of labels above 10^6 with h > 0
+    def mutant(m, label):
+        x, h = real(m, label), (sum(label) - m) // 2
+        return x + (x > 0 and h > 0 and min(label) > 10 ** 6)
+    return mutant
+
+
+def mutant(check, label, module, name, make, message):
+    """The case of the mutant make(real) of module.name, which check names
+    first with message; its id is check-label."""
+    return pytest.param(module, name, make, check, message,
+                        id=f"{check}-{label}")
+
+
+MUTANTS = [
+    mutant("check_c2", "c2-5-2-3", dims, "c2",
+           lambda real: lambda r1, r2, r3: real(r1, r2, r3) + (
+               (r1, r2, r3) == (5, 2, 3)),
+           "c2 vs brute force at (r1, r2, r3) = (5, 2, 3)"),
+    mutant("check_corner_sums", "multiplicity_sym-floor", multiplicity,
+           "multiplicity_sym", floor_of_minus_h,
+           "multiplicity_sym 1 != eight-corner sum 0 at m = 2, "
+           "label (0, 0, 0)"),
+    mutant("check_corner_sums", "multiplicity_sym-huge", multiplicity,
+           "multiplicity_sym", huge_label_bumped,
+           "multiplicity_sym 14 != eight-corner sum 13 at m = 1000000000000, "
+           "label (999999999940, 999999999926, 999999999938)"),
+    mutant("check_characters", "weight_dimensions-value-9", dims,
+           "weight_dimensions", at_power(9, bump(12, 4)),
+           ENUMERATION.format(9)),
+    mutant("check_characters", "weight_dimensions-line-dropped-7", dims,
+           "weight_dimensions", at_power(7, lambda lines: lines[:-1]),
+           ENUMERATION.format(7)),
+    mutant("check_characters", "enumerated_lines-value-5", oracle,
+           "enumerated_lines", at_power(5, bump(7, 2)),
+           ENUMERATION.format(5)),
+    mutant("check_characters", "character_lines-line-dropped-8",
+           multiplicity, "character_lines",
+           at_power(8, lambda lines: lines[:-1]), COUNT.format(8)),
+    mutant("check_characters", "_count_plane-7-1", multiplicity,
+           "_count_plane", count_plane_bumped, COUNT.format(7)),
+    mutant("check_characters", "decomposition_rows-reversed", multiplicity,
+           "decomposition_rows",
+           lambda real: lambda m: (row[::-1] for row in real(m)),
+           GREEDY.format(3)),
+    mutant("check_characters", "decomposition_rows-3-3-1-at-7", multiplicity,
+           "decomposition_rows", at_power(7, lambda rows: [
+               [(label, x + (label == (3, 3, 1))) for label, x in row]
+               for row in rows]),
+           GREEDY.format(7)),
+    mutant("check_characters", "decompose_entries-top-label", characters,
+           "decompose_entries", top_label_bumped, GREEDY.format(0)),
+]
+
+
+def first_failure():
+    """(name, message) of the first entry of verify.CHECKS that fails at
+    ci depth, as `symcube verify` runs them, or None."""
+    top = oracle.MODES["ci"]
+    for check, bound, _ in verify.CHECKS:
+        try:
+            check(bound(top))
+        except VerificationError as exc:
+            return check.__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("module,name,make,check,message", MUTANTS)
+def test_verify_names_the_mutant(monkeypatch, module, name, make, check,
+                                 message):
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    assert first_failure() == (check, message)

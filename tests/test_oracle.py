@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from symcube import OracleCapError, c2_bruteforce, convolution_bruteforce
-from symcube import characters, dims, multiplicity, oracle
+from symcube import characters, dims, multiplicity, oracle, verify
 from symcube.oracle import ENUMERATION_CAP, enumerated_lines
 from symcube.verify import (
     VerificationError,
@@ -15,7 +15,6 @@ from symcube.verify import (
     check_characters,
     check_corner_sums,
     check_dimensions,
-    check_greedy,
 )
 
 
@@ -155,7 +154,8 @@ class TestEnumerateCharacter:
             check_characters(9)
 
     def test_streams_each_route_once_per_power(self, monkeypatch):
-        # the closed form, the enumeration and the count prefix sums
+        # the closed form, the enumeration and the count prefix sums, in
+        # all of verify.CHECKS at ci depth
         calls = Counter()
         for module, name in ((dims, "weight_dimensions"),
                              (oracle, "enumerated_lines"),
@@ -165,13 +165,16 @@ class TestEnumerateCharacter:
                 return lines(m)
 
             monkeypatch.setattr(module, name, counted)
-        assert check_characters(12) == 13
+        top = oracle.MODES["ci"]
+        for check, bound, _ in verify.CHECKS:
+            check(bound(top))
         assert calls == {(name, m): 1 for name in ("weight_dimensions",
                          "enumerated_lines", "character_lines")
-                         for m in range(13)}
+                         for m in range(top + 1)}
 
     def test_check_holds_one_plane_at_a_time(self):
-        # the two whole S^20 characters peaked at 2.16 MB traced
+        # the two whole S^20 characters peaked at 2.16 MB traced, and the
+        # two whole S^20 decompositions and the character dict at 1.94 MB
         check_characters(3)
         tracemalloc.start()
         try:
@@ -183,8 +186,7 @@ class TestEnumerateCharacter:
 
 
 @pytest.mark.parametrize("check", [check_c2, check_dimensions,
-                                   check_corner_sums, check_characters,
-                                   check_greedy])
+                                   check_corner_sums, check_characters])
 @pytest.mark.parametrize("bound", [True, 3.0, -1, "2"])
 def test_checks_reject_a_bound_that_is_not_a_non_negative_int(check, bound):
     with pytest.raises(ValueError, match=re.escape(f"int, got {bound!r}")):
