@@ -29,9 +29,11 @@ for w in [(4, 8, 8), (8, 4, 8), (-4, 8, 8), (8, -8, -4)]:
     print(f"dim S^40 at {w}:", dim_weight(40, w))
 
 # Behind dim_weight sits a normalized index (m, k, r, n) with
-# m/2 >= k >= r >= n >= 0 and a six-way case split on the size of r + n
-# and parities.  The same numbers fall out of a convolution of 2x2
-# contingency-matrix counts.
+# m/2 >= k >= r >= n >= 0.  The paper splits it six ways, on the size of
+# r + n against the walls k and m - k and on parities; the closed form
+# evaluates one quartic in (r, n), less one wall-crossing term for each
+# wall that r + n lies past, and the label names the paper's case.  The
+# same numbers fall out of a convolution of 2x2 contingency-matrix counts.
 print("\n  m   k   r   n   case    dim")
 for idx in [(12, 5, 2, 1), (12, 4, 4, 2), (12, 4, 4, 1),
             (12, 6, 6, 6), (12, 5, 5, 4), (13, 5, 5, 4)]:

@@ -22,16 +22,21 @@ Two independent computations are provided:
 
 * dim_by_convolution splits the eight exponents into the i = 0 and i = 1
   halves and sums products of 2x2 contingency-matrix counts (c2);
-* dim_closed_form evaluates one of six quartic polynomials in
-  (m, k, r, n), selected by the size of r + n relative to k and m - k
-  and by parities.
+* dim_closed_form evaluates the paper's six piecewise quartics as one:
 
-The polynomial coefficients are rationals whose denominators divide 48,
-so each regime is stored as the five integer coefficients in n of its
-quartic scaled by 48, polynomials in (m, k, r).  An index costs one
-regime choice, one Horner evaluation and one division by 48, checked:
-an inexact division can only mean mistranscribed coefficients, never bad
-input, and raises ArithmeticError.
+    48 C = P(r, n) + 48 - w(k - r - n) [r + n > k]
+                        - w(m - k - r - n) [r + n >= m - k],
+
+  with P(r, n) = -4n^4 + (8r - 16)n^3 + (48r + 4)n^2 + (88r + 64)n + 48r
+  the quartic of the chamber r + n <= k, which reads neither m nor k, and
+  w(t) = t (t - 2)^2 (t - 4) + 3 (t mod 2) the term a vector partition
+  function loses across each wall it crosses (Brion and Vergne, 1997).
+  w vanishes at t = 0, ..., 4, so an index on a wall reads the same from
+  either side.
+
+An index costs one Horner evaluation, at most two wall terms and one
+division by 48, checked: an inexact division can only mean a
+mistranscribed polynomial, never bad input, and raises ArithmeticError.
 """
 
 from collections.abc import Iterator
@@ -82,64 +87,32 @@ def dim_by_convolution(m: int, k: int, r: int, n: int) -> int:
     return total
 
 
-# The six quartics as coefficients (c0, ..., c4) of 48 * C in powers of n,
-# one function per regime, without the constant term 48, 45 or 42 that
-# tells the parity variants apart.  With d = k - r and e = m - k - r,
-# regime III is regime II plus f(e - n), f(t) = -t (t - 2)^2 (t - 4).
-
-
-def _coeffs_low(m: int, k: int, r: int) -> tuple[int, ...]:
-    # regime I, r + n <= k
-    return 48 * r, 88 * r + 64, 48 * r + 4, 8 * r - 16, -4
-
-
-def _coeffs_mid(m: int, k: int, r: int) -> tuple[int, ...]:
-    # regime II, k < r + n < m - k
-    d, s = k - r, k + r
-    return (((8 - d) * d - 20) * d * d + 16 * k + 32 * r,
-            (4 * d - 24) * d * d + 40 * k + 48 * r + 48,
-            24 * s - 6 * d * d - 16, 4 * s - 24, -5)
-
-
-def _coeffs_high(m: int, k: int, r: int) -> tuple[int, ...]:
-    # regime III, r + n >= m - k: regime II plus f(e - n) expanded in n
-    e = m - k - r
-    c0, c1, c2, c3, c4 = _coeffs_mid(m, k, r)
-    return (c0 + ((8 - e) * e - 20) * e * e + 16 * e,
-            c1 + ((4 * e - 24) * e + 40) * e - 16,
-            c2 + (24 - 6 * e) * e - 20, c3 + 4 * e - 8, c4 - 1)
-
-
-def _regime(m: int, k: int, r: int, n: int) -> tuple:
-    """The closed form's one case selector, the table in polynomial_case's
-    docstring: the coefficient function, label and constant term of the
-    case that holds the normalized index (m, k, r, n)."""
-    odd = (r + n - k) & 1
-    if r + n <= k:
-        return _coeffs_low, "I", 48
-    if r + n < m - k:
-        return (_coeffs_mid, "II.2", 45) if odd else (_coeffs_mid, "II.1", 48)
-    if m % 2:
-        return _coeffs_high, "III.3", 45
-    return (_coeffs_high, "III.2", 42) if odd else (_coeffs_high, "III.1", 48)
+def _wall(t: int) -> int:
+    """What 48 C loses past a chamber wall, at the signed distance
+    t = k - (r + n) or m - k - (r + n) <= 0 of the index from it."""
+    return t * (t - 2) ** 2 * (t - 4) + 3 * (t & 1)
 
 
 def _closed_form(m: int, k: int, r: int, n: int) -> int:
     """C(m; k, r, n) at a normalized index, unchecked."""
-    coeffs, case, constant = _regime(m, k, r, n)
-    c0, c1, c2, c3, c4 = coeffs(m, k, r)
-    value, rem = divmod((((c4 * n + c3) * n + c2) * n + c1) * n + c0
-                        + constant, 48)
+    value = ((((8 * r - 16 - 4 * n) * n + 48 * r + 4) * n + 88 * r + 64) * n
+             + 48 * r + 48)
+    if r + n > k:
+        value -= _wall(k - r - n)
+        if r + n >= m - k:
+            value -= _wall(m - k - r - n)
+    value, rem = divmod(value, 48)
     if rem:
         raise ArithmeticError(
             f"scaled polynomial not divisible by 48 at m={m}, k={k}, "
-            f"r={r}, n={n} (case {case}): "
+            f"r={r}, n={n} (case {polynomial_case(m, k, r, n)}): "
             f"coefficient table transcription defect")
     return value
 
 
 def polynomial_case(m: int, k: int, r: int, n: int) -> str:
-    """Label of the closed-form branch that applies to a normalized index.
+    """Label of the paper's case that holds a normalized index: the
+    chamber of r + n against the walls k and m - k, then the parities.
 
     'I'     : r + n <= k
     'II.1'  : k < r + n < m - k and r + n - k even
@@ -147,13 +120,21 @@ def polynomial_case(m: int, k: int, r: int, n: int) -> str:
     'III.1' : r + n >= m - k, m even, r + n - k even
     'III.2' : r + n >= m - k, m even, r + n - k odd
     'III.3' : r + n >= m - k, m odd
+
+    The closed form subtracts one wall term in case II and two in case
+    III; it reads no label.
     """
     _check_normalized(m, k, r, n)
-    return _regime(m, k, r, n)[1]
+    if r + n <= k:
+        return "I"
+    parity = "2" if (r + n - k) & 1 else "1"
+    if r + n < m - k:
+        return "II." + parity
+    return "III.3" if m % 2 else "III." + parity
 
 
 def dim_closed_form(m: int, k: int, r: int, n: int) -> int:
-    """C(m; k, r, n) by the closed-form polynomial of the applicable case.
+    """C(m; k, r, n) by the closed-form polynomial.
 
     Requires the normalized position m/2 >= k >= r >= n >= 0.
     """

@@ -202,14 +202,13 @@ class TestClosedForm:
         assert dim_closed_form(*idx) == dim_by_convolution(*idx)
 
     def test_inexact_division_raises(self, monkeypatch):
-        real = dims._coeffs_mid
-        monkeypatch.setattr(dims, "_coeffs_mid",
-                            lambda *mkr: (real(*mkr)[0] + 1, *real(*mkr)[1:]))
+        real = dims._wall
+        monkeypatch.setattr(dims, "_wall", lambda t: real(t) + 1)
         with pytest.raises(ArithmeticError,
                            match=r"m=10, k=3, r=3, n=2 \(case II.1\)"):
             dim_closed_form(10, 3, 3, 2)
-        # The table names the first index it evaluates, whichever case of
-        # II or III (regime III reads the regime II coefficients) that is.
+        # The table names the first index it evaluates past a wall,
+        # whichever case of II or III that is.
         with pytest.raises(ArithmeticError) as info:
             next(dims.weight_dimensions(10))
         found = re.fullmatch(
@@ -244,25 +243,44 @@ class TestClosedForm:
         assert indices == 87_296
         assert not wrong, (len(wrong), wrong[:5])
 
+    def test_wall_term_vanishes_on_the_wall(self):
+        # so moving a wall's gate onto it, or up to four past it, changes
+        # no value: an index on a wall reads the same from either side
+        assert [dims._wall(t) for t in range(5)] == [0] * 5
+
+    # 48 C at an index is one of three quartics in n: the chamber quartic
+    # alone (low), less the wall term at k (mid), or less both wall terms
+    # (high).  Each regime reads exactly one of them.
     @pytest.mark.parametrize("name,regimes", [
         ("_coeffs_low", {"I"}),
-        ("_coeffs_mid", {"II", "III"}),  # III reads the II coefficients
+        ("_coeffs_mid", {"II"}),
         ("_coeffs_high", {"III"}),
     ])
     def test_label_is_the_branch_taken(self, monkeypatch, name, regimes):
-        # c0 + 1 breaks the division by 48 exactly at the indices whose
-        # regime reads the perturbed coefficients, and nowhere else
+        # at the indices of the label's regime the closed form subtracts
+        # that quartic's number of wall terms, and _wall + 1 breaks the
+        # division by 48 there exactly when it subtracts any
+        walls = {"_coeffs_low": 0, "_coeffs_mid": 1, "_coeffs_high": 2}[name]
         indices = [(m, k, r, n) for m in range(21) for k in range(m // 2 + 1)
-                   for r in range(k + 1) for n in range(r + 1)]
-        assert len(indices) == 1716
+                   for r in range(k + 1) for n in range(r + 1)
+                   if polynomial_case(m, k, r, n).split(".")[0] in regimes]
+        assert len(indices) == {0: 1001, 1: 359, 2: 356}[walls]
         want = {index: dim_closed_form(*index) for index in indices}
-        real = getattr(dims, name)
-        monkeypatch.setattr(dims, name,
-                            lambda *mkr: (real(*mkr)[0] + 1, *real(*mkr)[1:]))
-        raised = 0
+        real = dims._wall
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(dims, "_wall", counted)
         for index in indices:
-            case = polynomial_case(*index)
-            if case.split(".")[0] not in regimes:
+            calls.clear()
+            dim_closed_form(*index)
+            assert len(calls) == walls, index
+        monkeypatch.setattr(dims, "_wall", lambda t: real(t) + 1)
+        for index in indices:
+            if not walls:
                 assert dim_closed_form(*index) == want[index]
                 continue
             with pytest.raises(ArithmeticError) as info:
@@ -270,10 +288,8 @@ class TestClosedForm:
             m, k, r, n = index
             assert str(info.value) == (
                 f"scaled polynomial not divisible by 48 at m={m}, k={k}, "
-                f"r={r}, n={n} (case {case}): coefficient table "
-                f"transcription defect")
-            raised += 1
-        assert 0 < raised < len(indices)
+                f"r={r}, n={n} (case {polynomial_case(*index)}): "
+                f"coefficient table transcription defect")
 
 
 class TestDominantDimensions:
@@ -350,6 +366,23 @@ class TestDimWeight:
             want = dim_closed_form(m, k, r, n)
             assert dim_weight(m, (m - 2 * k, m - 2 * r, m - 2 * n)) == want
             assert dim_weight(m, (2 * n - m, m - 2 * k, 2 * r - m)) == want
+
+    @pytest.mark.parametrize("m", [10**12, 10**12 + 1])
+    def test_agrees_with_convolution_at_a_huge_power(self, m):
+        # every normalized index with r <= 6 at the bottom and top dozen
+        # planes k, regimes I and II: at most 49 c2 calls each.  verify's
+        # eight-corner sums at this power cancel a constant offset of the
+        # closed form; the convolution does not.
+        h = m // 2
+        checked, regimes = 0, set()
+        for k in [*range(13), *range(h - 12, h + 1)]:
+            for r in range(min(k, 6) + 1):
+                for n in range(r + 1):
+                    w = (m - 2 * k, m - 2 * r, m - 2 * n)
+                    assert dim_weight(m, w) == dim_by_convolution(m, k, r, n)
+                    regimes.add(polynomial_case(m, k, r, n).split(".")[0])
+                    checked += 1
+        assert (checked, regimes) == (616, {"I", "II"})
 
     def test_permutation_and_sign_invariance(self):
         rng = random.Random(7)

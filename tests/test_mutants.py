@@ -17,6 +17,8 @@ GREEDY = ("greedy (eight-corner sums of the closed-form character) vs "
 ENUMERATION = ("monomial enumeration differs from closed-form character "
                "at m = {}")
 COUNT = "count prefix sums differ at m = {}"
+DIMENSIONS = ("dimensions diverge at (m, k, r, n) = (2, 1, 1, 1): "
+              "closed={} convolution=4 enumerated=4")
 
 
 def at_power(power, change):
@@ -84,6 +86,10 @@ MUTANTS = [
            lambda real: lambda r1, r2, r3: real(r1, r2, r3) + (
                (r1, r2, r3) == (5, 2, 3)),
            "c2 vs brute force at (r1, r2, r3) = (5, 2, 3)"),
+    mutant("check_dimensions", "_wall-plus-48", dims, "_wall",
+           lambda real: lambda t: real(t) + 48, DIMENSIONS.format(2)),
+    mutant("check_dimensions", "_wall-reflected", dims, "_wall",
+           lambda real: lambda t: real(-t), DIMENSIONS.format(6)),
     mutant("check_corner_sums", "multiplicity_sym-floor", multiplicity,
            "multiplicity_sym", floor_of_minus_h,
            "multiplicity_sym 1 != eight-corner sum 0 at m = 2, "

@@ -1,8 +1,11 @@
+import os
 import re
-import tracemalloc
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -174,14 +177,23 @@ class TestEnumerateCharacter:
 
     def test_check_holds_one_plane_at_a_time(self):
         # the two whole S^20 characters peaked at 2.16 MB traced, and the
-        # two whole S^20 decompositions and the character dict at 1.94 MB
-        check_characters(3)
-        tracemalloc.start()
-        try:
-            check_characters(20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # two whole S^20 decompositions and the character dict at 1.94 MB.
+        # A fresh child, because the peak depends on what the process ran
+        # before: a second traced run in one process reads about 2/3 of
+        # the first.
+        code = """import tracemalloc
+from symcube.verify import check_characters
+check_characters(3)
+tracemalloc.start()
+check_characters(20)
+print(tracemalloc.get_traced_memory()[1])
+"""
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(oracle.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        peak = int(proc.stdout)
         assert peak < 500_000, peak
 
 
