@@ -5,23 +5,19 @@ Exit codes: 0 success, 1 usage error, 2 computation error (invalid
 character input and the like), 3 verification mismatch, 141 closed stdout.
 """
 
-import argparse
+import gc
 import io
 import os
 import sys
 from itertools import groupby
 from math import comb
+from types import SimpleNamespace
 
-from . import core, oracle  # each _cmd_* imports its own route modules
+from . import core  # each _cmd_* imports its own route modules
 
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 def _integer(text: str) -> int:
@@ -30,13 +26,13 @@ def _integer(text: str) -> int:
             return int(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")
+    raise UsageError(f"not an ASCII decimal integer: {text!r}")
 
 
 def _nonneg(text: str) -> int:
     value = _integer(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        raise UsageError(f"must be non-negative, got {value}")
     return value
 
 
@@ -197,7 +193,7 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import verify
+    from . import oracle, verify
 
     top = oracle.MODES[args.mode] if args.max_m is None else args.max_m
     oracle.check_cap(top)
@@ -207,63 +203,138 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="symcube",
-        description=(
-            "Exact weight-space dimensions, multiplicities and irreducible "
-            "decompositions of symmetric powers of C2 (x) C2 (x) C2 under "
-            "sl2(C) + sl2(C) + sl2(C)."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    table = argparse.ArgumentParser(add_help=False)  # all but verify
-    table.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text", help="output format (default: text)")
-    power = argparse.ArgumentParser(add_help=False, parents=[table])
-    power.add_argument("m", type=_nonneg, help="symmetric power")
+def _choice(text: str, choices: tuple) -> str:
+    if text in choices:
+        return text
+    raise UsageError(f"invalid choice: {text!r} (choose from "
+                     f"{', '.join(map(repr, choices))})")
 
-    for name, func, triple, kind, text in (
-            ("dim", _cmd_dim, "l1 l2 l3", _integer,
-             "dimension of one weight space of S^m"),
-            ("mult", _cmd_mult, "n1 n2 n3", _nonneg,
+
+def _mode(text: str) -> str:
+    from . import oracle
+
+    return _choice(text, tuple(oracle.MODES))
+
+
+# the type of each argument that a command of _COMMANDS names
+_TYPES = {"m": _nonneg, "l1": _integer, "l2": _integer, "l3": _integer,
+          "n1": _nonneg, "n2": _nonneg, "n3": _nonneg, "file": str,
+          "--format": lambda text: _choice(text, ("text", "json", "csv")),
+          "--max-m": _nonneg, "--mode": _mode}
+_COMMANDS = {  # name: (handler, positionals, options, help)
+    "dim": (_cmd_dim, "m l1 l2 l3", "--format",
+            "dimension of one weight space of S^m"),
+    "mult": (_cmd_mult, "m n1 n2 n3", "--format",
              "multiplicity of V(n1) (x) V(n2) (x) V(n3) in S^m"),
-            ("decompose", _cmd_decompose, "", None,
-             "full decomposition table of S^m"),
-            ("character", _cmd_character, "", None,
-             "dump the character of S^m (weight, dimension)")):
-        p = sub.add_parser(name, parents=[power], help=text)
-        for arg in triple.split():
-            p.add_argument(arg, type=kind)
-        p.set_defaults(func=func)
+    "decompose": (_cmd_decompose, "m", "--format",
+                  "full decomposition table of S^m"),
+    "character": (_cmd_character, "m", "--format",
+                  "dump the character of S^m (weight, dimension)"),
+    "greedy": (_cmd_greedy, "file", "--format", "decompose a character "
+               "file, lines 'l1 l2 l3 dim', by the greedy algorithm"),
+    "verify": (_cmd_verify, "", "--max-m --mode",
+               "cross-check the formulas against brute-force counts\n"
+               "      --max-m MAX_M  largest power for the character and "
+               "decomposition\n        comparisons (default: {ci} in ci "
+               "mode, {extended} in extended mode)\n      --mode MODE  "
+               "preset verification depth, ci or extended (default: ci)"),
+}
+_USAGE = """usage: symcube COMMAND ARGUMENT... [--OPTION VALUE]...
 
-    p = sub.add_parser("greedy", parents=[table], help=(
-        "decompose a character file by the greedy algorithm"))
-    p.add_argument("file", help="character file: lines 'l1 l2 l3 dim'")
-    p.set_defaults(func=_cmd_greedy)
+Exact weight-space dimensions, multiplicities and irreducible
+decompositions of symmetric powers of C2 (x) C2 (x) C2 under
+sl2(C) + sl2(C) + sl2(C).  m is the power; every command but verify
+takes --format FORMAT, one of text, json and csv (default: text).
 
-    p = sub.add_parser("verify", help=(
-        "cross-check the formulas against brute-force counts"))
-    p.add_argument("--max-m", type=_nonneg, help=(
-        "largest power for the character and decomposition comparisons "
-        f"(default: {oracle.MODES['ci']} in ci mode, "
-        f"{oracle.MODES['extended']} in extended mode)"))
-    p.add_argument("--mode", choices=tuple(oracle.MODES), default="ci",
-                   help="preset verification depth (default: ci)")
-    p.set_defaults(func=_cmd_verify)
+commands:
+"""
 
-    return parser
+
+def _option(token: str, names: tuple) -> tuple[str | None, str | None]:
+    """(name, text after "=" or None) of the option of names that token
+    spells whole or as a unique prefix (-h[VALUE] spells --help), or
+    (token, None) for another; (None, None) for a positional: "-", "--",
+    or a token not starting with "-" or that is a negative number or
+    holds a space, as argparse read them."""
+    if token[:1] != "-" or token in ("-", "--") or token in names:
+        return (token if token in names else None), None
+    if token[:2] == "-h":
+        return "--help", token[2:] or None
+    prefix, eq, value = token.partition("=")
+    found = [n for n in names if n.startswith(prefix) and prefix[:2] == "--"]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {prefix} could match "
+                         + ", ".join(found))
+    if found:
+        return found[0], value if eq else None
+    whole, dot, part = token[1:].partition(".")
+    if (whole + part).isdecimal() and (part or not dot) or " " in token:
+        return None, None
+    return token, None
+
+
+def _parse(argv: list[str]):
+    """(handler, arguments) of ``symcube COMMAND ...``; prints the usage
+    text and raises SystemExit(0) at -h or --help before any "--"."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    handler, wanted, options, _ = command or (None, "", "", "")
+    wanted, options = wanted.split(), ("--help", *options.split())
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(t, options) for t in argv[:end]]
+    if ("--help", None) in kinds:
+        from . import oracle
+
+        print(_USAGE + "".join(f"  {c} {args}\n      {text}\n".format(
+            **oracle.MODES) for c, (_, args, _, text) in _COMMANDS.items()))
+        raise SystemExit(0)
+    if command is None:
+        raise UsageError(f"argument command: invalid choice: {argv[0]!r} "
+                         f"(choose from {', '.join(map(repr, _COMMANDS))})"
+                         if argv else "the following arguments are "
+                         "required: command")
+    kinds += [(None, None)] * (len(argv) - end)
+    args = {"format": "text", "max_m": None, "mode": "ci"}
+    j, after = 1, False  # after: the token before was a value
+    while j < len(argv):
+        (name, value), token, j = kinds[j], argv[j], j + 1
+        if j - 1 == end and (after or wanted and j < len(argv)):
+            continue  # argparse let "--" join a value before or after it
+        if name is None and wanted and j - 1 != end:
+            name = wanted.pop(0)
+        elif name in options[1:] and value is None:
+            if j == end or j == len(argv) or kinds[j][0] is not None:
+                raise UsageError(f"argument {name}: expected one argument")
+            token, j = argv[j], j + 1
+        elif name in options[1:]:
+            token = value
+        else:
+            raise UsageError(f"unrecognized arguments: {token}")
+        after = value is None
+        try:
+            args[name.lstrip("-").replace("-", "_")] = _TYPES[name](token)
+        except UsageError as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
+    if wanted:
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(wanted))
+    return handler, SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        # A program run: its commands make no reference cycles, and a
+        # collection would walk the ~11,000 objects of start-up (also at
+        # exit), so the collector is off and those objects frozen.
+        gc.disable()
+        gc.freeze()
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        handler, args = _parse(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        code = args.func(args)
+        code = handler(args)
         sys.stdout.flush()  # a closed stdout meets this flush, not the exit's
         return code
     except BrokenPipeError:  # as by `| head`; devnull takes the final flush

@@ -32,25 +32,43 @@ def check_c2(top_r1: int) -> int:
 def check_dimensions(top_m: int) -> int:
     """Routes to every weight dimension C(m; k, r, n), m <= top_m: the
     closed form by dim_weight at an unsorted, sign-flipped weight, the
-    convolution and, where m <= oracle.ENUMERATION_CAP, pair enumeration."""
+    convolution and, where m <= oracle.ENUMERATION_CAP, pair enumeration;
+    the first two also at 50 indices seeded by m with n <= r <= 6 and
+    k <= 12 or k >= m/2 - 12 (cases I and II) at each of m = 10^12 and
+    10^12 + 1.  Then dim_weight at two weights off the support of each
+    S^m, which read 0: one with a component of the wrong parity and one
+    with a component m + 8 (the quartic vanishes at n = -1, -2, -3)."""
     core.check_power(top_m)
     cases = 0
-    for m in range(top_m + 1):
+    huge = []
+    for m in (10 ** 12, 10 ** 12 + 1):
+        rng = random.Random(m)
+        for _ in range(50):
+            r = rng.randint(0, 6)
+            n = rng.randint(0, r)
+            k = rng.choice([*range(r, 13), *range(m // 2 - 12, m // 2 + 1)])
+            huge.append((m, k, r, n))
+    for m, k, r, n in chain(((m, k, r, n) for m in range(top_m + 1)
+                             for k in range(m // 2 + 1)
+                             for r in range(k + 1) for n in range(r + 1)),
+                            huge):
         enumerated = m <= oracle.ENUMERATION_CAP
-        for k in range(m // 2 + 1):
-            for r in range(k + 1):
-                for n in range(r + 1):
-                    closed = dims.dim_weight(m, (m - 2 * n, 2 * k - m,
-                                                 m - 2 * r))
-                    conv = dims.dim_by_convolution(m, k, r, n)
-                    pairs = (oracle.convolution_bruteforce(m, k, r, n)
-                             if enumerated else closed)
-                    if not closed == conv == pairs:
-                        raise VerificationError(
-                            f"dimensions diverge at (m, k, r, n) = "
-                            f"{m, k, r, n}: closed={closed} convolution="
-                            f"{conv}" + f" enumerated={pairs}" * enumerated)
-                    cases += 1
+        closed = dims.dim_weight(m, (m - 2 * n, 2 * k - m, m - 2 * r))
+        conv = dims.dim_by_convolution(m, k, r, n)
+        pairs = (oracle.convolution_bruteforce(m, k, r, n) if enumerated
+                 else closed)
+        if not closed == conv == pairs:
+            raise VerificationError(
+                f"dimensions diverge at (m, k, r, n) = "
+                f"{m, k, r, n}: closed={closed} convolution="
+                f"{conv}" + f" enumerated={pairs}" * enumerated)
+        cases += 1
+    for m in range(top_m + 1):
+        for w in ((m, m - 1, -m), (m, -m - 8, m)):
+            if value := dims.dim_weight(m, w):
+                raise VerificationError(f"dim_weight {value} != 0 off the "
+                                        f"support at m = {m}, weight {w}")
+            cases += 1
     return cases
 
 
@@ -117,7 +135,8 @@ CHECKS = (
      "2x2 matrix counts: closed form == brute force for r1 <= {0}"),
     (check_dimensions, lambda top: 16,
      "weight dimensions: closed form == convolution == pair enumeration "
-     "for m <= {0} ({1} indices)"),
+     "for m <= {0}, closed form == convolution at m = 10^12, 10^12 + 1, "
+     "0 off the support ({1} weights)"),
     (check_corner_sums, lambda top: 8,
      "multiplicities: covariant count == eight-corner sums of closed forms "
      "for m <= {0} and at m = 10^12, 10^12 + 1 ({1} labels)"),

@@ -87,7 +87,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_closed_form_vs_convolution():
     with criterion(4, "closed form == convolution for m <= 60, all six "
                       "polynomial branches exercised", 30.0):
-        assert check_dimensions(60) == 87296
+        assert check_dimensions(60) == 87518
         # the branch of each of those indices
         hits = Counter(polynomial_case(m, k, r, n) for m in range(61)
                        for k in range(m // 2 + 1) for r in range(k + 1)

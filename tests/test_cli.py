@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -394,8 +395,8 @@ class TestDecomposeStreams:
         assert code == 0
         assert peak <= 1.5 * cube_peak, (peak, cube_peak)
         # The count holds one count row and reads no cube.  The first
-        # run also paid one-off costs of the process (argparse's lazy
-        # imports, CPython's tuple free lists, about 0.4 MB run alone),
+        # run also paid one-off costs of the process (CPython's tuple
+        # free lists, among others),
         # which were allocated before this trace starts.
         tracemalloc.start()
         try:
@@ -775,7 +776,8 @@ class TestVerify:
         assert run(["verify", *argv]) == (0, (
             "2x2 matrix counts: closed form == brute force for r1 <= 40\n"
             "weight dimensions: closed form == convolution == pair "
-            "enumeration for m <= 16 (825 indices)\n"
+            "enumeration for m <= 16, closed form == convolution at "
+            "m = 10^12, 10^12 + 1, 0 off the support (959 weights)\n"
             "multiplicities: covariant count == eight-corner sums of closed "
             "forms for m <= 8 and at m = 10^12, 10^12 + 1 (525 labels)\n"
             "characters and decompositions: monomial enumeration == "
@@ -812,7 +814,7 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             main(["verify", "--help"])
         assert info.value.code == 0
-        # argparse wraps the help to the terminal width
+        # the usage text wraps the option's help
         assert ("--max-m MAX_M largest power for the character and "
                 "decomposition comparisons (default: 12 in ci mode, 20 in "
                 "extended mode)") in " ".join(capsys.readouterr().out.split())
@@ -855,7 +857,8 @@ def test_a_route_replaced_on_its_module_reaches_its_command(
 
 
 # a fresh child runs `symcube ARGS...` (or, with no ARGS, only imports the
-# package) and prints the symcube modules it loaded to stderr
+# package) and prints to stderr the symcube modules it loaded, then those
+# of argparse, gettext and locale
 LOADED = """import sys
 import symcube
 if sys.argv[1:]:
@@ -863,28 +866,51 @@ if sys.argv[1:]:
     assert cli.main(sys.argv[1:]) == 0
 print(*sorted(n[8:] for n in sys.modules if n.startswith("symcube.")),
       file=sys.stderr)
+print(*sorted({"argparse", "gettext", "locale"} & set(sys.modules)),
+      file=sys.stderr)
 """
 
 
 @pytest.mark.parametrize("argv,loaded", [
     ([], ""),
-    (["decompose", "3"], "cli core multiplicity oracle"),
-    (["character", "3"], "cli core multiplicity oracle"),
-    (["dim", "4", "0", "0", "0"], "cli core dims oracle"),
-    (["mult", "4", "0", "0", "0"], "cli core multiplicity oracle"),
-    (["greedy", "s3.char"], "characters cli core oracle"),
+    (["decompose", "3"], "cli core multiplicity"),
+    (["character", "3"], "cli core multiplicity"),
+    (["dim", "4", "0", "0", "0"], "cli core dims"),
+    (["mult", "4", "0", "0", "0"], "cli core multiplicity"),
+    (["greedy", "s3.char"], "characters cli core"),
     (["verify", "--max-m", "0"],
      "characters cli core dims multiplicity oracle verify"),
 ], ids=["import symcube", "decompose", "character", "dim", "mult", "greedy",
         "verify"])
 def test_each_command_loads_only_its_modules(argv, loaded, tmp_path):
     # `import symcube` loads no submodule, and a command loads its routes'
-    # modules, oracle (the --mode table the parser reads) and core
+    # modules and core, oracle only for verify, and never argparse,
+    # gettext or locale
     write_character(tmp_path / "s3.char", 3)
     proc = subprocess.run([sys.executable, "-c", LOADED, *argv],
                           cwd=tmp_path, env=child_env(False),
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, loaded + "\n")
+    assert (proc.returncode, proc.stderr) == (0, loaded + "\n\n")
+
+
+def test_main_in_process_leaves_the_collector_as_it_was():
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    assert run(["decompose", "3"])[0] == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+
+def test_the_program_runs_with_the_collector_off_and_start_up_frozen(
+        tmp_path):
+    # as `python -m symcube.cli` and the installed script call it
+    code = """import gc, sys
+from symcube import cli
+sys.argv = ["symcube", "decompose", "1"]
+assert cli.main() == 0
+print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(False),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "False True\n")
 
 
 def test_the_exports_resolve_to_their_homes_on_first_use():
@@ -970,3 +996,49 @@ class TestUsageErrors:
         assert (code, out) == (1, "")
         assert err.startswith("usage error: argument ")
         assert "not an ASCII decimal integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--format", "json", "2"],
+    ["decompose", "--format=json", "2"],
+    ["decompose", "2", "--form", "json"],
+    ["decompose", "--f=json", "--", "2"],
+    ["decompose", "2", "--format", "csv", "--format", "json"],
+], ids=" ".join)
+def test_argv_forms_read_the_same(argv):
+    assert run(argv) == run(["decompose", "2", "--format", "json"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "40", "-4", "8", "8"],
+    ["dim", "--", "40", "-4", "8", "8"],
+    ["dim", "40", "-4", "--format", "text", "8", "8"],
+], ids=" ".join)
+def test_negative_numbers_are_arguments(argv):
+    assert run(argv) == (0, "6957\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["decompose", "2", "--he"], ["verify", "-h"],
+    ["frobnicate", "--help"], ["decompose", "x", "--help"],
+], ids=" ".join)
+def test_help_anywhere_prints_the_usage(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out = capsys.readouterr().out
+    assert info.value.code == 0 and out.startswith("usage: symcube COMMAND")
+    assert all(f"\n  {name} " in out for name in cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--", "decompose", "2"], ["-x", "decompose", "2"],
+    ["decompose", "2", "3"], ["decompose", "2", "--bogus"],
+    ["decompose", "--format"], ["decompose", "2", "--format", "--help=x"],
+    ["decompose", "2", "--", "--help"], ["decompose", "2", "-hx"],
+    ["verify", "--m", "3"], ["verify", "--mode", "fast"], ["verify", "--"],
+    ["decompose", "2", "--format=json", "--"], ["greedy"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_other_argv_is_a_usage_error(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1

@@ -74,6 +74,21 @@ def huge_label_bumped(real):
     return mutant
 
 
+def dim_weight_as(order=sorted, parity=True, in_range=True):
+    """dim_weight with its absolute values in order, and with its parity
+    tests or its range test dropped."""
+    def make(real):
+        def mutant(m, w):
+            a1, a2, a3 = order(map(abs, w))
+            if in_range and a3 > m or parity and (
+                    (m - a1) % 2 or (m - a2) % 2 or (m - a3) % 2):
+                return 0
+            return dims._closed_form(m, (m - a1) // 2, (m - a2) // 2,
+                                     (m - a3) // 2)
+        return mutant
+    return make
+
+
 def mutant(check, label, module, name, make, message):
     """The case of the mutant make(real) of module.name, which check names
     first with message; its id is check-label."""
@@ -90,6 +105,21 @@ MUTANTS = [
            lambda real: lambda t: real(t) + 48, DIMENSIONS.format(2)),
     mutant("check_dimensions", "_wall-reflected", dims, "_wall",
            lambda real: lambda t: real(-t), DIMENSIONS.format(6)),
+    mutant("check_dimensions", "_closed_form-huge-offset", dims,
+           "_closed_form", lambda real: lambda m, k, r, n: real(m, k, r, n)
+           + (m > 10 ** 6),
+           "dimensions diverge at (m, k, r, n) = (1000000000000, 9, 3, 3): "
+           "closed=51 convolution=50"),
+    mutant("check_dimensions", "dim_weight-no-parity", dims, "dim_weight",
+           dim_weight_as(parity=False),
+           "dim_weight 1 != 0 off the support at m = 1, weight (1, 0, -1)"),
+    mutant("check_dimensions", "dim_weight-no-range", dims, "dim_weight",
+           dim_weight_as(in_range=False),
+           "dim_weight -3 != 0 off the support at m = 0, weight (0, -8, 0)"),
+    mutant("check_dimensions", "dim_weight-descending", dims, "dim_weight",
+           dim_weight_as(order=lambda a: sorted(a, reverse=True)),
+           "dimensions diverge at (m, k, r, n) = (4, 2, 0, 0): closed=-4 "
+           "convolution=1 enumerated=1"),
     mutant("check_corner_sums", "multiplicity_sym-floor", multiplicity,
            "multiplicity_sym", floor_of_minus_h,
            "multiplicity_sym 1 != eight-corner sum 0 at m = 2, "

@@ -292,7 +292,7 @@ class TestAgreement:
         real = dims.dim_weight
         monkeypatch.setattr(dims, "dim_weight", lambda m, w: real(m, w) + (
             (m, w) == (37, (27, -19, 23))))
-        assert check_dimensions(16) == 825
+        assert check_dimensions(16) == 959
         with pytest.raises(VerificationError) as raised:
             check_dimensions(60)
         want = dims.dim_closed_form(37, 9, 7, 5)
