@@ -250,68 +250,57 @@ commands:
 """
 
 
-def _option(token: str, names: tuple) -> tuple[str | None, str | None]:
-    """(name, text after "=" or None) of the option of names that token
-    spells whole or as a unique prefix (-h[VALUE] spells --help), or
-    (token, None) for another; (None, None) for a positional: "-", "--",
-    or a token not starting with "-" or that is a negative number or
-    holds a space, as argparse read them."""
-    if token[:1] != "-" or token in ("-", "--") or token in names:
-        return (token if token in names else None), None
-    if token[:2] == "-h":
-        return "--help", token[2:] or None
-    prefix, eq, value = token.partition("=")
-    found = [n for n in names if n.startswith(prefix) and prefix[:2] == "--"]
-    if len(found) > 1:
-        raise UsageError(f"ambiguous option: {prefix} could match "
-                         + ", ".join(found))
-    if found:
-        return found[0], value if eq else None
-    whole, dot, part = token[1:].partition(".")
-    if (whole + part).isdecimal() and (part or not dot) or " " in token:
-        return None, None
-    return token, None
+def _is_option(token: str) -> bool:
+    # "--" is one; "-" and "-" then decimal digits are arguments
+    return token[:1] == "-" and token != "-" and not token[1:].isdecimal()
 
 
 def _parse(argv: list[str]):
-    """(handler, arguments) of ``symcube COMMAND ...``; prints the usage
-    text and raises SystemExit(0) at -h or --help before any "--"."""
-    command = _COMMANDS.get(argv[0]) if argv else None
-    handler, wanted, options, _ = command or (None, "", "", "")
-    wanted, options = wanted.split(), ("--help", *options.split())
-    end = argv.index("--") if "--" in argv else len(argv)
-    kinds = [_option(t, options) for t in argv[:end]]
-    if ("--help", None) in kinds:
+    """(handler, arguments) of ``symcube COMMAND ...`` by the README's
+    rules; -h or --help before any "--" prints the usage and exits 0."""
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    if any(t == "-h" or len(t) > 2 and "--help".startswith(t) for t in head):
         from . import oracle
 
         print(_USAGE + "".join(f"  {c} {args}\n      {text}\n".format(
             **oracle.MODES) for c, (_, args, _, text) in _COMMANDS.items()))
         raise SystemExit(0)
+    command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         raise UsageError(f"argument command: invalid choice: {argv[0]!r} "
                          f"(choose from {', '.join(map(repr, _COMMANDS))})"
                          if argv else "the following arguments are "
                          "required: command")
-    kinds += [(None, None)] * (len(argv) - end)
+    handler, wanted, options, _ = command
+    wanted, options = wanted.split(), ("--help", *options.split())
     args = {"format": "text", "max_m": None, "mode": "ci"}
-    j, after = 1, False  # after: the token before was a value
-    while j < len(argv):
-        (name, value), token, j = kinds[j], argv[j], j + 1
-        if j - 1 == end and (after or wanted and j < len(argv)):
-            continue  # argparse let "--" join a value before or after it
-        if name is None and wanted and j - 1 != end:
-            name = wanted.pop(0)
-        elif name in options[1:] and value is None:
-            if j == end or j == len(argv) or kinds[j][0] is not None:
-                raise UsageError(f"argument {name}: expected one argument")
-            token, j = argv[j], j + 1
-        elif name in options[1:]:
-            token = value
+    tokens, dashed = argv[1:], False  # dashed: past the first "--"
+    while tokens:
+        token = tokens.pop(0)
+        if dashed or not _is_option(token):
+            if not wanted:
+                raise UsageError(f"unrecognized arguments: {token}")
+            name, value = wanted.pop(0), token
+        elif token == "--":
+            if not tokens:
+                raise UsageError("unrecognized arguments: --")
+            dashed = True
+            continue
         else:
-            raise UsageError(f"unrecognized arguments: {token}")
-        after = value is None
+            prefix, eq, value = token.partition("=")
+            name, *more = [n for n in options if n.startswith(prefix)
+                           and prefix[:2] == "--"] or [token]
+            if more:
+                raise UsageError(f"ambiguous option: {prefix} could match "
+                                 + ", ".join([name, *more]))
+            if name not in options[1:]:  # --help takes no value
+                raise UsageError(f"unrecognized arguments: {token}")
+            if not eq:
+                if not tokens or _is_option(tokens[0]):
+                    raise UsageError(f"argument {name}: expected one argument")
+                value = tokens.pop(0)
         try:
-            args[name.lstrip("-").replace("-", "_")] = _TYPES[name](token)
+            args[name.lstrip("-").replace("-", "_")] = _TYPES[name](value)
         except UsageError as exc:
             raise UsageError(f"argument {name}: {exc}") from None
     if wanted:
@@ -338,7 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed stdout meets this flush, not the exit's
         return code
     except BrokenPipeError:  # as by `| head`; devnull takes the final flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(fd := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(fd)
         return 141
     except core.VerificationError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)

@@ -1042,3 +1042,97 @@ def test_other_argv_is_a_usage_error(argv):
     code, out, err = run(argv)
     assert (code, out) == (1, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def outcome(argv):
+    """The parsed arguments of argv, the message of its usage error, or
+    "help" where it prints the usage."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(cli._parse(argv)[1])
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help"
+    except cli.UsageError as exc:
+        return str(exc)
+
+
+def parsed(**values):
+    return {"format": "text", "max_m": None, "mode": "ci", **values}
+
+
+GRAMMAR = [
+    # help: -h, or a prefix of --help of 3 characters or more, before "--"
+    (["decompose", "2", "--h"], "help"),
+    (["greedy", "-h", "--", "x"], "help"),
+    (["decompose", "2", "--", "-h"], "unrecognized arguments: -h"),
+    # the command is argv[0]
+    (["2", "decompose"], "argument command: invalid choice: '2' (choose "
+     "from 'dim', 'mult', 'decompose', 'character', 'greedy', 'verify')"),
+    # an option is --NAME or --NAME=VALUE, NAME a unique prefix of one of
+    # the command's options (--help among them, which takes no value)
+    (["verify", "--mo=extended", "--max", "3"],
+     parsed(mode="extended", max_m=3)),
+    (["verify", "--m=3"], "ambiguous option: --m could match --max-m, "
+     "--mode"),
+    (["decompose", "2", "--=json"], "ambiguous option: -- could match "
+     "--help, --format"),
+    (["decompose", "2", "--help=x"], "unrecognized arguments: --help=x"),
+    (["decompose", "2", "-f", "json"], "unrecognized arguments: -f"),
+    # without "=", the value is the next token: before "--", not an option
+    (["verify", "--max-m", "-1"], "argument --max-m: must be non-negative, "
+     "got -1"),
+    (["verify", "--max-m", "--mode", "ci"], "argument --max-m: expected one "
+     "argument"),
+    (["decompose", "--format", "--", "2"], "argument --format: expected one "
+     "argument"),
+    # every other token, and every token after the first "--", fills the
+    # next positional; "-" and "-" then decimal digits are not options
+    (["dim", "40", "-4", "-0", "-"], "argument l3: not an ASCII decimal "
+     "integer: '-'"),
+    (["greedy", "-"], parsed(file="-")),
+    (["greedy", "--", "-1.5"], parsed(file="-1.5")),
+    (["greedy", "--", "--"], parsed(file="--")),
+    (["decompose", "2", "--", "3"], "unrecognized arguments: 3"),
+    # a "--" with nothing after it is refused
+    (["decompose", "2", "--"], "unrecognized arguments: --"),
+    (["decompose", "2", "--format", "json", "--"],
+     "unrecognized arguments: --"),
+    (["decompose", "2", "--format=json", "--"], "unrecognized arguments: --"),
+    (["verify", "--"], "unrecognized arguments: --"),
+    # a token that starts with "-" and is neither an option nor an integer
+    (["greedy", "-1.5"], "unrecognized arguments: -1.5"),
+    (["greedy", "-x y"], "unrecognized arguments: -x y"),
+    # help wins over an ambiguous prefix before it
+    (["verify", "--m", "--help"], "help"),
+]
+
+
+@pytest.mark.parametrize("argv,want", GRAMMAR,
+                         ids=[" ".join(argv) for argv, _ in GRAMMAR])
+def test_the_documented_grammar(argv, want):
+    assert outcome(argv) == want
+
+
+def test_a_float_is_a_file_only_after_dashes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["greedy", "-1.5"]) == (
+        1, "", "usage error: unrecognized arguments: -1.5\n")
+    code, out, err = run(["greedy", "--", "-1.5"])
+    assert (code, out) == (2, "") and "'-1.5'" in err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts the descriptors in /proc/self/fd")
+def test_a_closed_stdout_leaves_no_descriptor_open(monkeypatch):
+    # main, called in process three times on a pipe whose read end is
+    # closed, points stdout at devnull and closes the descriptor it opened
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            assert main(["decompose", "60"]) == 141
+            monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == before

@@ -1,11 +1,14 @@
 """A standing catalogue of mutants of the routes that `symcube verify`
 checks.  Each mutant replaces one module attribute, as a wrong edit to
-that one function would, and each case runs verify.CHECKS at ci depth
+that one function would (a wrapper of the real function, or its source
+with that one edit), and each case runs verify.CHECKS at ci depth
 and asserts which check names the mutant first and with what message.
 verify looks each route up on its module when it runs, so the replaced
 attribute is the route its checks read.  The test id starts with the
 check that names the mutant.
 """
+
+import inspect
 
 import pytest
 
@@ -56,16 +59,6 @@ def top_label_bumped(real):
     return mutant
 
 
-def floor_of_minus_h(real):
-    # multiplicity_sym with (1 - h) // 2 written (-h) // 2
-    def mutant(m, label):
-        if any(v > m or (v - m) % 2 for v in label):
-            return 0
-        h = (sum(label) - m) // 2
-        return max(0, (min(label) - h) // 2 + 1 - max(0, (-h) // 2))
-    return mutant
-
-
 def huge_label_bumped(real):
     # one too high at positive counts of labels above 10^6 with h > 0
     def mutant(m, label):
@@ -74,18 +67,15 @@ def huge_label_bumped(real):
     return mutant
 
 
-def dim_weight_as(order=sorted, parity=True, in_range=True):
-    """dim_weight with its absolute values in order, and with its parity
-    tests or its range test dropped."""
+def edited(old, new):
+    """A mutant that is the real function with the one old of its source
+    written new, run with the globals of its module."""
     def make(real):
-        def mutant(m, w):
-            a1, a2, a3 = order(map(abs, w))
-            if in_range and a3 > m or parity and (
-                    (m - a1) % 2 or (m - a2) % 2 or (m - a3) % 2):
-                return 0
-            return dims._closed_form(m, (m - a1) // 2, (m - a2) // 2,
-                                     (m - a3) // 2)
-        return mutant
+        source = inspect.getsource(real)
+        assert source.count(old) == 1, old
+        namespace = dict(vars(inspect.getmodule(real)))
+        exec(source.replace(old, new), namespace)
+        return namespace[real.__name__]
     return make
 
 
@@ -105,23 +95,33 @@ MUTANTS = [
            lambda real: lambda t: real(t) + 48, DIMENSIONS.format(2)),
     mutant("check_dimensions", "_wall-reflected", dims, "_wall",
            lambda real: lambda t: real(-t), DIMENSIONS.format(6)),
+    mutant("check_dimensions", "_wall-factor-plus-48", dims, "_wall",
+           edited("(t - 4)", "(t - 4 + 48)"), DIMENSIONS.format(22)),
+    mutant("check_dimensions", "_closed_form-88r-plus-112", dims,
+           "_closed_form", edited("88 * r + 64", "88 * r + 112"),
+           DIMENSIONS.format(5)),
     mutant("check_dimensions", "_closed_form-huge-offset", dims,
            "_closed_form", lambda real: lambda m, k, r, n: real(m, k, r, n)
            + (m > 10 ** 6),
            "dimensions diverge at (m, k, r, n) = (1000000000000, 9, 3, 3): "
            "closed=51 convolution=50"),
     mutant("check_dimensions", "dim_weight-no-parity", dims, "dim_weight",
-           dim_weight_as(parity=False),
+           edited("a3 > m or (m - a1) % 2 or (m - a2) % 2 or (m - a3) % 2",
+                  "a3 > m"),
            "dim_weight 1 != 0 off the support at m = 1, weight (1, 0, -1)"),
     mutant("check_dimensions", "dim_weight-no-range", dims, "dim_weight",
-           dim_weight_as(in_range=False),
+           edited("a3 > m or ", ""),
            "dim_weight -3 != 0 off the support at m = 0, weight (0, -8, 0)"),
     mutant("check_dimensions", "dim_weight-descending", dims, "dim_weight",
-           dim_weight_as(order=lambda a: sorted(a, reverse=True)),
+           edited("sorted(map(abs, w))", "sorted(map(abs, w), reverse=True)"),
            "dimensions diverge at (m, k, r, n) = (4, 2, 0, 0): closed=-4 "
            "convolution=1 enumerated=1"),
+    mutant("check_dimensions", "dim_weight-signed", dims, "dim_weight",
+           edited("sorted(map(abs, w))", "sorted(w)"),
+           "dimensions diverge at (m, k, r, n) = (3, 1, 1, 1): closed=6 "
+           "convolution=5 enumerated=5"),
     mutant("check_corner_sums", "multiplicity_sym-floor", multiplicity,
-           "multiplicity_sym", floor_of_minus_h,
+           "multiplicity_sym", edited("(1 - h) // 2", "(-h) // 2"),
            "multiplicity_sym 1 != eight-corner sum 0 at m = 2, "
            "label (0, 0, 0)"),
     mutant("check_corner_sums", "multiplicity_sym-huge", multiplicity,
@@ -140,6 +140,10 @@ MUTANTS = [
     mutant("check_characters", "character_lines-line-dropped-8",
            multiplicity, "character_lines",
            at_power(8, lambda lines: lines[:-1]), COUNT.format(8)),
+    mutant("check_characters", "character_lines-mirror-half", multiplicity,
+           "character_lines",
+           edited("running[b][:m - half]", "running[b][:half]"),
+           COUNT.format(1)),
     mutant("check_characters", "_count_plane-7-1", multiplicity,
            "_count_plane", count_plane_bumped, COUNT.format(7)),
     mutant("check_characters", "decomposition_rows-reversed", multiplicity,
@@ -153,6 +157,10 @@ MUTANTS = [
            GREEDY.format(7)),
     mutant("check_characters", "decompose_entries-top-label", characters,
            "decompose_entries", top_label_bumped, GREEDY.format(0)),
+    mutant("check_characters", "decompose_entries-corner-sign", characters,
+           "decompose_entries",
+           edited("diff.get(t, 0) - d", "diff.get(t, 0) + d"),
+           GREEDY.format(2)),
 ]
 
 
