@@ -144,8 +144,9 @@ def _cmd_character(args) -> int:
     from . import multiplicity
 
     # (l1, l2) and (l1, -l2) share one % of the template, whose NULs take
-    # each line's head
-    m, table = args.m, _Table(args.format, args.m, character=True)
+    # each line's head; character_lines refuses m above its cap at once
+    m, lines = args.m, multiplicity.character_lines(args.m)
+    table = _Table(args.format, m, character=True)
     sep, between = table.sep, table.between
     if args.format == "json":
         cells = [f', {l3}], "dim": %d}}' for l3 in range(m, -m - 1, -2)]
@@ -154,7 +155,7 @@ def _cmd_character(args) -> int:
         cells = [f"{sep}{l3}{sep}%d\n" for l3 in range(m, -m - 1, -2)]
         head = f"%d{sep}%d"
     template, bodies, total = "\0".join(cells), {}, 0
-    for l1, l2, row in multiplicity.character_lines(m):
+    for l1, l2, row in lines:
         total += sum(row)
         if l2 >= 0:
             bodies[l2] = template % tuple(row)
@@ -333,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     except core.VerificationError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

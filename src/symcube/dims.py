@@ -32,11 +32,8 @@ Two independent computations are provided:
   w(t) = t (t - 2)^2 (t - 4) + 3 (t mod 2) the term a vector partition
   function loses across each wall it crosses (Brion and Vergne, 1997).
   w vanishes at t = 0, ..., 4, so an index on a wall reads the same from
-  either side.
-
-An index costs one Horner evaluation, at most two wall terms and one
-division by 48, checked: an inexact division can only mean a
-mistranscribed polynomial, never bad input, and raises ArithmeticError.
+  either side.  The division by 48 is exact: verify.check_dimensions
+  proves that 48 divides P and w at every residue mod 48.
 """
 
 from collections.abc import Iterator
@@ -93,21 +90,20 @@ def _wall(t: int) -> int:
     return t * (t - 2) ** 2 * (t - 4) + 3 * (t & 1)
 
 
+def _chamber(r: int, n: int) -> int:
+    """P(r, n), 48 C - 48 in the chamber r + n <= k, by Horner in n."""
+    return ((((8 * r - 16 - 4 * n) * n + 48 * r + 4) * n + 88 * r + 64) * n
+            + 48 * r)
+
+
 def _closed_form(m: int, k: int, r: int, n: int) -> int:
     """C(m; k, r, n) at a normalized index, unchecked."""
-    value = ((((8 * r - 16 - 4 * n) * n + 48 * r + 4) * n + 88 * r + 64) * n
-             + 48 * r + 48)
+    value = _chamber(r, n)
     if r + n > k:
         value -= _wall(k - r - n)
         if r + n >= m - k:
             value -= _wall(m - k - r - n)
-    value, rem = divmod(value, 48)
-    if rem:
-        raise ArithmeticError(
-            f"scaled polynomial not divisible by 48 at m={m}, k={k}, "
-            f"r={r}, n={n} (case {polynomial_case(m, k, r, n)}): "
-            f"coefficient table transcription defect")
-    return value
+    return value // 48 + 1
 
 
 def polynomial_case(m: int, k: int, r: int, n: int) -> str:
@@ -121,8 +117,7 @@ def polynomial_case(m: int, k: int, r: int, n: int) -> str:
     'III.2' : r + n >= m - k, m even, r + n - k odd
     'III.3' : r + n >= m - k, m odd
 
-    The closed form subtracts one wall term in case II and two in case
-    III; it reads no label.
+    Nothing branches on the label: the closed form crosses walls.
     """
     _check_normalized(m, k, r, n)
     if r + n <= k:

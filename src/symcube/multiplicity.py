@@ -100,20 +100,23 @@ def character_lines(m: int) -> Iterator[tuple[int, int, list[int]]]:
     sums the counts at co-indices <= (a, b, c), so going down l1 a running
     plane adds each count plane's 2-D prefix sums, and coming back up it
     subtracts them.  Raises ValueError on a malformed power, and on one
-    above CHARACTER_CAP before any state is built."""
+    above CHARACTER_CAP, when called: before any state is built."""
     check_power(m)
     if m > CHARACTER_CAP:
         raise ValueError(f"character cap exceeded: m={m} > "
                          f"cap={CHARACTER_CAP}")
-    half, values = m // 2, range(m, -m - 1, -2)
-    fold = [min(i, m - i) for i in range(m + 1)]  # co-index of m - 2i
-    running, last = [[0] * (half + 1)] * (half + 1), -1
-    for l1, a in zip(values, fold):
-        if a != last:  # add plane a going down, subtract plane last going up
-            op, k, last = (add, a, a) if a > last else (sub, last, a)
-            prefix = [0] * (half + 1)  # row b of plane k's 2-D prefix sums
-            for b, row in enumerate(_count_plane(m, k)):
-                prefix = list(map(add, prefix, accumulate(row)))
-                running[b] = list(map(op, running[b], prefix))
-        for l2, b in zip(values, fold):  # l3 < 0 mirror l3 > 0
-            yield l1, l2, running[b] + running[b][:m - half][::-1]
+
+    def lines():
+        half, values = m // 2, range(m, -m - 1, -2)
+        fold = [min(i, m - i) for i in range(m + 1)]  # co-index of m - 2i
+        running, last = [[0] * (half + 1)] * (half + 1), -1
+        for l1, a in zip(values, fold):
+            if a != last:  # down: add plane a; up: subtract plane last
+                op, k, last = (add, a, a) if a > last else (sub, last, a)
+                prefix = [0] * (half + 1)  # row b of plane k's 2-D prefix sums
+                for b, row in enumerate(_count_plane(m, k)):
+                    prefix = list(map(add, prefix, accumulate(row)))
+                    running[b] = list(map(op, running[b], prefix))
+            for l2, b in zip(values, fold):  # l3 < 0 mirror l3 > 0
+                yield l1, l2, running[b] + running[b][:m - half][::-1]
+    return lines()

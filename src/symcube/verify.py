@@ -16,7 +16,9 @@ from .core import VerificationError
 
 
 def check_c2(top_r1: int) -> int:
-    """c2 vs brute force for every 0 <= r2, r3 <= r1 <= top_r1."""
+    """c2 vs brute force for every 0 <= r2, r3 <= r1 <= top_r1.  Then c2 at
+    (r1, -1, r1) and (r1, r1 + 1, 0) for each r1, which read 0: margins
+    out of range, one for each test after c2's swap."""
     core.check_power(top_r1)
     c2, cases = dims.c2, 0
     for r1 in range(top_r1 + 1):
@@ -26,11 +28,19 @@ def check_c2(top_r1: int) -> int:
                     raise VerificationError(
                         f"c2 vs brute force at (r1, r2, r3) = {r1, r2, r3}")
             cases += len(row)
+    for r1 in range(top_r1 + 1):
+        for triple in ((r1, -1, r1), (r1, r1 + 1, 0)):
+            if value := c2(*triple):
+                raise VerificationError(f"c2 {value} != 0 off the range at "
+                                        f"(r1, r2, r3) = {triple}")
+            cases += 1
     return cases
 
 
 def check_dimensions(top_m: int) -> int:
-    """Routes to every weight dimension C(m; k, r, n), m <= top_m: the
+    """First that 48 divides the polynomials dims._chamber and dims._wall
+    at every residue mod 48, so everywhere: _closed_form's // 48 is exact.
+    Then routes to every weight dimension C(m; k, r, n), m <= top_m: the
     closed form by dim_weight at an unsorted, sign-flipped weight, the
     convolution and, where m <= oracle.ENUMERATION_CAP, pair enumeration;
     the first two also at 50 indices seeded by m with n <= r <= 6 and
@@ -39,6 +49,10 @@ def check_dimensions(top_m: int) -> int:
     S^m, which read 0: one with a component of the wrong parity and one
     with a component m + 8 (the quartic vanishes at n = -1, -2, -3)."""
     core.check_power(top_m)
+    for name, arity in (("_chamber", 2), ("_wall", 1)):
+        for residue in product(range(48), repeat=arity):
+            if getattr(dims, name)(*residue) % 48:
+                raise VerificationError(f"48 does not divide {name}{residue}")
     cases = 0
     huge = []
     for m in (10 ** 12, 10 ** 12 + 1):
@@ -77,7 +91,10 @@ def check_corner_sums(top_m: int) -> int:
     alternating sum of dim_weight over the eight corners t + {0, 2}^3
     (Fulton and Harris, section 11): at every label t of S^m, m <= top_m,
     and at 100 labels seeded by m with co-indices (m - ti) / 2 <= 40 at
-    each of m = 10^12 and 10^12 + 1, far beyond any table."""
+    each of m = 10^12 and 10^12 + 1, far beyond any table.  Then
+    multiplicity_sym at two labels off the support of each S^m, which read
+    0: one with a component m + 2 and one with a component of the wrong
+    parity."""
     core.check_power(top_m)
     cases = [(m, t) for m in range(top_m + 1)
              for t in product(range(m, -1, -2), repeat=3)]
@@ -94,7 +111,13 @@ def check_corner_sums(top_m: int) -> int:
             raise VerificationError(
                 f"multiplicity_sym {count} != eight-corner sum {corners} "
                 f"at m = {m}, label {n1, n2, n3}")
-    return len(cases)
+    for m in range(top_m + 1):
+        for label in ((m + 2, m, m), (m, m, m ^ 1)):  # m ^ 1 is m + 1 or m - 1
+            if value := multiplicity.multiplicity_sym(m, label):
+                raise VerificationError(f"multiplicity_sym {value} != 0 off "
+                                        f"the support at m = {m}, label "
+                                        f"{label}")
+    return len(cases) + 2 * (top_m + 1)
 
 
 def check_characters(top_m: int) -> int:
@@ -132,14 +155,17 @@ def check_characters(top_m: int) -> int:
 
 CHECKS = (
     (check_c2, lambda top: 40,
-     "2x2 matrix counts: closed form == brute force for r1 <= {0}"),
+     "2x2 matrix counts: closed form == brute force for r1 <= {0}, 0 off "
+     "the range ({1} triples)"),
     (check_dimensions, lambda top: 16,
-     "weight dimensions: closed form == convolution == pair enumeration "
+     "weight dimensions: 48 divides 48 C at every index (residues mod 48), "
+     "closed form == convolution == pair enumeration "
      "for m <= {0}, closed form == convolution at m = 10^12, 10^12 + 1, "
      "0 off the support ({1} weights)"),
     (check_corner_sums, lambda top: 8,
      "multiplicities: covariant count == eight-corner sums of closed forms "
-     "for m <= {0} and at m = 10^12, 10^12 + 1 ({1} labels)"),
+     "for m <= {0} and at m = 10^12, 10^12 + 1, 0 off the support ({1} "
+     "labels)"),
     (check_characters, lambda top: top,
      "characters and decompositions: monomial enumeration == covariant "
      "count prefix sums == closed forms, greedy == covariant count for "

@@ -99,7 +99,7 @@ def test_criterion_4_closed_form_vs_convolution():
 def test_criterion_5_matrix_count_correction():
     with criterion(5, "2x2 matrix count matches brute force; printed-formula "
                       "variant refuted", 1.0):
-        assert check_c2(40) == sum((r1 + 1) ** 2 for r1 in range(41))
+        assert check_c2(40) == sum((r1 + 1) ** 2 + 2 for r1 in range(41))
         # the min(..., r2 - r3) variant of the count formula is wrong:
         # at (5, 2, 3) it gives 0 while the true count is 3
         r1, r2, r3 = 5, 2, 3

@@ -622,6 +622,23 @@ class TestCharacter:
                        f"cap={cap}\n")
 
 
+    def test_a_power_far_above_the_cap_exits_2_at_once(self):
+        # the cap is read before the 2m + 1 cells of the line template are
+        # built; a child that built them would meet the timeout, or the
+        # 256 MiB address space that keeps it from the machine's memory
+        src = Path(cli.__file__).resolve().parents[1]
+        limit, m = 256 << 20, 10 ** 12
+        proc = subprocess.run(
+            [sys.executable, "-m", "symcube.cli", "character", str(m)],
+            capture_output=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)))
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
+            2, b"", f"error: character cap exceeded: m={m} > "
+                    f"cap={multiplicity.CHARACTER_CAP}\n")
+
+
 class TestGreedy:
     def test_holds_less_than_a_quarter_of_the_parse(self, tmp_path):
         # greedy FILE keeps the text and one state per sign orbit, 9,261 at
@@ -774,12 +791,15 @@ class TestVerify:
     ])
     def test_stdout(self, argv, top):
         assert run(["verify", *argv]) == (0, (
-            "2x2 matrix counts: closed form == brute force for r1 <= 40\n"
-            "weight dimensions: closed form == convolution == pair "
-            "enumeration for m <= 16, closed form == convolution at "
-            "m = 10^12, 10^12 + 1, 0 off the support (959 weights)\n"
+            "2x2 matrix counts: closed form == brute force for r1 <= 40, 0 "
+            "off the range (23903 triples)\n"
+            "weight dimensions: 48 divides 48 C at every index (residues "
+            "mod 48), closed form == convolution == pair enumeration for "
+            "m <= 16, closed form == convolution at m = 10^12, 10^12 + 1, "
+            "0 off the support (959 weights)\n"
             "multiplicities: covariant count == eight-corner sums of closed "
-            "forms for m <= 8 and at m = 10^12, 10^12 + 1 (525 labels)\n"
+            "forms for m <= 8 and at m = 10^12, 10^12 + 1, 0 off the support "
+            "(543 labels)\n"
             "characters and decompositions: monomial enumeration == "
             "covariant count prefix sums == closed forms, greedy == "
             f"covariant count for m <= {top}\n"

@@ -21,6 +21,7 @@ from symcube import (
 )
 from symcube import dims
 from symcube.oracle import enumerated_lines
+from symcube.verify import VerificationError, check_dimensions
 
 # One normalized index per closed-form branch, in the order of
 # polynomial_case's docstring, at the largest powers sampled below.
@@ -202,24 +203,16 @@ class TestClosedForm:
         assert dim_closed_form(*idx) == dim_by_convolution(*idx)
 
     def test_inexact_division_raises(self, monkeypatch):
+        # _closed_form's // 48 checks nothing: past a wall, a wall term
+        # that 48 does not divide reads as a floor, one too low, and
+        # check_dimensions' residue proof names it before any index
         real = dims._wall
+        want = dim_closed_form(10, 3, 3, 2)
         monkeypatch.setattr(dims, "_wall", lambda t: real(t) + 1)
-        with pytest.raises(ArithmeticError,
-                           match=r"m=10, k=3, r=3, n=2 \(case II.1\)"):
-            dim_closed_form(10, 3, 3, 2)
-        # The table names the first index it evaluates past a wall,
-        # whichever case of II or III that is.
-        with pytest.raises(ArithmeticError) as info:
-            next(dims.weight_dimensions(10))
-        found = re.fullmatch(
-            r"scaled polynomial not divisible by 48 at m=(\d+), k=(\d+), "
-            r"r=(\d+), n=(\d+) \(case (\S+)\): coefficient table "
-            r"transcription defect", str(info.value))
-        assert found, str(info.value)
-        index = tuple(map(int, found.groups()[:4]))
-        assert index[0] == 10
-        assert found[5] == polynomial_case(*index)
-        assert found[5].startswith(("II.", "III."))
+        assert dim_closed_form(10, 3, 3, 2) == want - 1
+        with pytest.raises(VerificationError,
+                           match=r"^48 does not divide _wall\(0,\)$"):
+            check_dimensions(0)
 
     def test_case_is_the_chamber_of_the_index(self):
         # polynomial_case's docstring table, read off r + n, k, m - k and
@@ -248,22 +241,18 @@ class TestClosedForm:
         # no value: an index on a wall reads the same from either side
         assert [dims._wall(t) for t in range(5)] == [0] * 5
 
-    # 48 C at an index is one of three quartics in n: the chamber quartic
-    # alone (low), less the wall term at k (mid), or less both wall terms
-    # (high).  Each regime reads exactly one of them.
-    @pytest.mark.parametrize("name,regimes", [
-        ("_coeffs_low", {"I"}),
-        ("_coeffs_mid", {"II"}),
-        ("_coeffs_high", {"III"}),
-    ])
-    def test_label_is_the_branch_taken(self, monkeypatch, name, regimes):
+    # 48 C at an index is the chamber quartic less one wall term per wall
+    # crossed: none in regime I, the wall at k in II, both in III
+    @pytest.mark.parametrize("regime,walls", [("I", 0), ("II", 1),
+                                              ("III", 2)])
+    def test_label_is_the_branch_taken(self, monkeypatch, regime, walls):
         # at the indices of the label's regime the closed form subtracts
-        # that quartic's number of wall terms, and _wall + 1 breaks the
-        # division by 48 there exactly when it subtracts any
-        walls = {"_coeffs_low": 0, "_coeffs_mid": 1, "_coeffs_high": 2}[name]
+        # that many wall terms, and _wall + 1, which 48 does not divide,
+        # moves the floor of // 48 there exactly when it subtracts any;
+        # check_dimensions names it by its residue
         indices = [(m, k, r, n) for m in range(21) for k in range(m // 2 + 1)
                    for r in range(k + 1) for n in range(r + 1)
-                   if polynomial_case(m, k, r, n).split(".")[0] in regimes]
+                   if polynomial_case(m, k, r, n).split(".")[0] == regime]
         assert len(indices) == {0: 1001, 1: 359, 2: 356}[walls]
         want = {index: dim_closed_form(*index) for index in indices}
         real = dims._wall
@@ -280,16 +269,10 @@ class TestClosedForm:
             assert len(calls) == walls, index
         monkeypatch.setattr(dims, "_wall", lambda t: real(t) + 1)
         for index in indices:
-            if not walls:
-                assert dim_closed_form(*index) == want[index]
-                continue
-            with pytest.raises(ArithmeticError) as info:
-                dim_closed_form(*index)
-            m, k, r, n = index
-            assert str(info.value) == (
-                f"scaled polynomial not divisible by 48 at m={m}, k={k}, "
-                f"r={r}, n={n} (case {polynomial_case(*index)}): "
-                f"coefficient table transcription defect")
+            assert dim_closed_form(*index) == want[index] - (walls > 0), index
+        with pytest.raises(VerificationError,
+                           match=r"^48 does not divide _wall\(0,\)$"):
+            check_dimensions(0)
 
 
 class TestDominantDimensions:

@@ -230,7 +230,7 @@ class TestCheckGreedy:
         monkeypatch.setattr(characters, "greedy_decompose", refuse)
         monkeypatch.setattr(multiplicity, "decompose_symmetric_power", refuse)
         assert [check(bound(12)) for check, bound, _ in verify.CHECKS] == [
-            sum((r1 + 1) ** 2 for r1 in range(41)), 959, 525, 13]
+            sum((r1 + 1) ** 2 + 2 for r1 in range(41)), 959, 543, 13]
 
 
 class TestCharacterLines:

@@ -91,15 +91,22 @@ MUTANTS = [
            lambda real: lambda r1, r2, r3: real(r1, r2, r3) + (
                (r1, r2, r3) == (5, 2, 3)),
            "c2 vs brute force at (r1, r2, r3) = (5, 2, 3)"),
+    mutant("check_c2", "c2-off-range", dims, "c2",
+           edited("return 0", "return 1"),
+           "c2 1 != 0 off the range at (r1, r2, r3) = (0, -1, 0)"),
+    mutant("check_dimensions", "_chamber-88r-plus-65", dims, "_chamber",
+           edited("88 * r + 64", "88 * r + 65"),
+           "48 does not divide _chamber(0, 1)"),
+    mutant("check_dimensions", "_wall-plus-1", dims, "_wall",
+           lambda real: lambda t: real(t) + 1, "48 does not divide _wall(0,)"),
     mutant("check_dimensions", "_wall-plus-48", dims, "_wall",
            lambda real: lambda t: real(t) + 48, DIMENSIONS.format(2)),
     mutant("check_dimensions", "_wall-reflected", dims, "_wall",
            lambda real: lambda t: real(-t), DIMENSIONS.format(6)),
     mutant("check_dimensions", "_wall-factor-plus-48", dims, "_wall",
            edited("(t - 4)", "(t - 4 + 48)"), DIMENSIONS.format(22)),
-    mutant("check_dimensions", "_closed_form-88r-plus-112", dims,
-           "_closed_form", edited("88 * r + 64", "88 * r + 112"),
-           DIMENSIONS.format(5)),
+    mutant("check_dimensions", "_chamber-88r-plus-112", dims, "_chamber",
+           edited("88 * r + 64", "88 * r + 112"), DIMENSIONS.format(5)),
     mutant("check_dimensions", "_closed_form-huge-offset", dims,
            "_closed_form", lambda real: lambda m, k, r, n: real(m, k, r, n)
            + (m > 10 ** 6),
@@ -128,6 +135,15 @@ MUTANTS = [
            "multiplicity_sym", huge_label_bumped,
            "multiplicity_sym 14 != eight-corner sum 13 at m = 1000000000000, "
            "label (999999999940, 999999999926, 999999999938)"),
+    mutant("check_corner_sums", "multiplicity_sym-off-support",
+           multiplicity, "multiplicity_sym", edited("return 0", "return 1"),
+           "multiplicity_sym 1 != 0 off the support at m = 0, "
+           "label (2, 0, 0)"),
+    mutant("check_corner_sums", "multiplicity_sym-no-parity", multiplicity,
+           "multiplicity_sym",
+           edited("v > m or (v - m) % 2 != 0", "v > m"),
+           "multiplicity_sym 1 != 0 off the support at m = 1, "
+           "label (1, 1, 0)"),
     mutant("check_characters", "weight_dimensions-value-9", dims,
            "weight_dimensions", at_power(9, bump(12, 4)),
            ENUMERATION.format(9)),

@@ -207,7 +207,8 @@ def test_checks_reject_a_bound_that_is_not_a_non_negative_int(check, bound):
 
 class TestCheckC2:
     def test_counts_every_triple(self):
-        assert check_c2(40) == sum((r1 + 1) ** 2 for r1 in range(41))
+        # (r1 + 1)^2 in range and two out of range for each r1
+        assert check_c2(40) == sum((r1 + 1) ** 2 + 2 for r1 in range(41))
 
     @pytest.mark.parametrize("wrong", [(40, 17, 33), (0, 0, 0)])
     def test_names_the_one_wrong_triple(self, monkeypatch, wrong):
