@@ -20,7 +20,6 @@ _HOMES = {  # export -> its home module
     "Decomposition": "core",
     "IrrepLabel": "core",
     "NotAModuleCharacterError": "characters",
-    "OracleCapError": "oracle",
     "Weight": "core",
     "c2": "dims",
     "c2_bruteforce": "oracle",

@@ -197,7 +197,7 @@ def _cmd_verify(args) -> int:
     from . import oracle, verify
 
     top = oracle.MODES[args.mode] if args.max_m is None else args.max_m
-    oracle.check_cap(top)
+    core.check_cap(top, oracle.ENUMERATION_CAP, "oracle")
     for check, bound, template in verify.CHECKS:
         print(template.format(depth := bound(top), check(depth)))
     print("all checks passed")

@@ -12,11 +12,11 @@ in the normalized position
 
 which dim_weight reaches from an arbitrary weight by sorting absolute
 values: 23,426 indices at m = 100, against (m+1)^3 = 1,030,301 weights.
-A power's character, weight_dimensions(m), holds the dimensions at the
-dominant weights once per unordered pair of the co-indices (m - l) / 2
-of the first two components, read under both orders: 1,326 rows of 51
-values at m = 100, against the 132,651 values of the full cube.  It
-mirrors each row to the negative components as it yields it.
+A power's character, weight_dimensions(m) for m <= core.CHARACTER_CAP,
+holds the dimensions at the dominant weights once per unordered pair of the
+co-indices (m - l) / 2 of the first two components, read under both orders:
+1,326 rows of 51 values at m = 100, against the 132,651 values of the full
+cube.  It mirrors each row to the negative components as it yields it.
 
 Two independent computations are provided:
 
@@ -38,7 +38,7 @@ Two independent computations are provided:
 
 from collections.abc import Iterator
 
-from .core import Weight, check_power, check_weight
+from .core import CHARACTER_CAP, Weight, check_cap, check_power, check_weight
 
 
 def c2(r1: int, r2: int, r3: int) -> int:
@@ -144,9 +144,11 @@ def weight_dimensions(m: int) -> Iterator[tuple[int, int, list[int]]]:
     Yields (l1, l2, dims) for l1, l2 = m, m - 2, ..., -m in that order;
     dims[i] is the dimension at the weight (l1, l2, m - 2i), so the
     weights come in descending lexicographic order.  Every dimension is
-    positive.
+    positive.  Its table holds O(m^3) ints, 33 MB traced at m = 300 and GBs
+    near the cap, as character_symmetric_power's dict does.  ValueError at
+    the first next() on a malformed power or one above core.CHARACTER_CAP.
     """
-    check_power(m)
+    check_cap(m, CHARACTER_CAP, "character")
     half = m // 2
     # rows[i][j] is rows[j][i]: C(m; sorted((i, j, l), reverse=True)) for
     # 0 <= l <= m/2.  With i >= j running downward, the entries l > j read

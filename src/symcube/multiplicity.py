@@ -14,19 +14,15 @@ weight in O(1), reading no weight dimension.
 _count_plane is the same count as rows, one plane (one n1) at a time,
 each row (one n1, n2) of m // 2 + 1 ints: the decomposition table reads
 it a row at a time and the character's prefix sums a plane at a time,
-and the tests pin each of its rows to multiplicity_sym.
+up to core.CHARACTER_CAP; the tests pin each row to multiplicity_sym.
 """
 
 from collections.abc import Iterator
 from itertools import accumulate
 from operator import add, sub
 
-from .core import Decomposition, IrrepLabel, check_label, check_power
-
-# largest power of character_lines: its running plane of (m/2 + 1)^2 ints
-# peaks at about 40 MB RSS at m = 2000 (CPython 3.11 on Linux), and the
-# 8e9 weights of that character are more than anyone reads
-CHARACTER_CAP = 2000
+from .core import (CHARACTER_CAP, Decomposition, IrrepLabel, check_cap,
+                   check_label, check_power)
 
 
 def multiplicity_sym(m: int, label: IrrepLabel) -> int:
@@ -37,13 +33,14 @@ def multiplicity_sym(m: int, label: IrrepLabel) -> int:
 
     These give a = h + 2d with h = (n1 + n2 + n3 - m) / 2 and
     c = (n1 - h) mod 2, so the count is that of d >= 0 with
-    max(0, h) <= a <= min(ni) - c.  A label with a component above m or
-    of parity different from m returns 0.  Raises ValueError on a
-    malformed power or label.
+    max(0, h) <= a <= min(ni) - c.  A label with a component of parity
+    different from m returns 0, and so does one with a component above m,
+    with no test: every monomial counted has ni = a + 2bi + c <= m.
+    Raises ValueError on a malformed power or label.
     """
     check_power(m)
     check_label(label)
-    if any(v > m or (v - m) % 2 != 0 for v in label):
+    if any((v - m) % 2 for v in label):
         return 0
     h = (sum(label) - m) // 2
     # max(0, ceil(-h / 2)) <= d <= (min(ni) - h) // 2, whose floor
@@ -101,10 +98,7 @@ def character_lines(m: int) -> Iterator[tuple[int, int, list[int]]]:
     plane adds each count plane's 2-D prefix sums, and coming back up it
     subtracts them.  Raises ValueError on a malformed power, and on one
     above CHARACTER_CAP, when called: before any state is built."""
-    check_power(m)
-    if m > CHARACTER_CAP:
-        raise ValueError(f"character cap exceeded: m={m} > "
-                         f"cap={CHARACTER_CAP}")
+    check_cap(m, CHARACTER_CAP, "character")
 
     def lines():
         half, values = m // 2, range(m, -m - 1, -2)

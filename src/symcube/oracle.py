@@ -3,8 +3,8 @@
 Everything here counts the defined sets by direct enumeration, with no
 formula beyond non-negativity bounds, so that the closed forms and the
 convolution identities elsewhere are validated against plain counting.
-The character of S^m comes as enumerated_lines(m), in the line shape
-of dims.weight_dimensions(m), so that no dict of all weights is built.
+The character of S^m, m <= ENUMERATION_CAP, comes as enumerated_lines(m),
+in the line shape of dims.weight_dimensions(m): no dict of all weights.
 """
 
 from collections import Counter
@@ -12,24 +12,11 @@ from collections.abc import Iterator
 from itertools import combinations_with_replacement, product, starmap
 from operator import add
 
-from .core import check_power
+from .core import check_cap
 
 ENUMERATION_CAP = 20  # largest power enumerated: C(27, 7) = 888,030 monomials
 # the top power of ``symcube verify`` by --mode
 MODES = {"ci": 12, "extended": ENUMERATION_CAP}
-
-
-class OracleCapError(ValueError):
-    """Requested enumeration exceeds ENUMERATION_CAP."""
-
-
-def check_cap(m: int) -> None:
-    """Raise OracleCapError if m > ENUMERATION_CAP, ValueError on a
-    malformed m."""
-    check_power(m)
-    if m > ENUMERATION_CAP:
-        raise OracleCapError(
-            f"oracle cap exceeded: m={m} > cap={ENUMERATION_CAP}")
 
 
 def enumerated_lines(m: int) -> Iterator[tuple[int, int, list[int]]]:
@@ -48,7 +35,7 @@ def enumerated_lines(m: int) -> Iterator[tuple[int, int, list[int]]]:
     Counter).  The (m+1)^2 tallies of one k are listed once, as the plane
     l1 = m - 2k, and cut into its m + 1 lines l2 = m - 2r.
     """
-    check_cap(m)
+    check_cap(m, ENUMERATION_CAP, "oracle")
     b, values = m + 1, range(m, -m - 1, -2)
     for k, l1 in enumerate(values):  # code sums of sizes m - k and k only
         codes = Counter(starmap(add, product(*(

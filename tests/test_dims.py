@@ -1,9 +1,14 @@
 import gc
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
 import tracemalloc
 from itertools import permutations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -301,6 +306,35 @@ class TestDominantDimensions:
         for _ in dims.weight_dimensions(100):
             pass
         assert len(calls) == len(set(calls)) == 23_426
+
+    def test_a_power_above_the_cap_is_refused_at_once(self):
+        # in a child whose address space is 256 MiB, as the row table of an
+        # uncapped m = 10^6 would not fit there (and one of m = 2^64 not
+        # even be indexable); the character's dict reads the same cap
+        code = """import time
+from symcube import character_symmetric_power
+from symcube.dims import weight_dimensions
+start = time.perf_counter()
+for call in (lambda: next(weight_dimensions(10 ** 6)),
+             lambda: next(weight_dimensions(2 ** 64)),
+             lambda: character_symmetric_power(10 ** 12)):
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+print(time.perf_counter() - start < 1)
+"""
+        limit = 256 << 20
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=30, env={**os.environ, "PYTHONPATH": str(
+                Path(dims.__file__).resolve().parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            f"character cap exceeded: m={m} > cap=2000"
+            for m in (10 ** 6, 2 ** 64, 10 ** 12)] + ["True"]
 
 
 class TestDimWeight:

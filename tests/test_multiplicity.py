@@ -60,7 +60,19 @@ class TestMultiplicitySym:
         assert multiplicity_sym(3, (2, 2, 2)) == 0
 
     def test_label_beyond_power(self):
+        # 0 with no range test: a counted monomial has every ni <= m
         assert multiplicity_sym(2, (4, 0, 0)) == 0
+        for m in range(31):
+            for label in product(range(m % 2, m + 12, 2), repeat=3):
+                if max(label) > m:
+                    assert multiplicity_sym(m, label) == 0, (m, label)
+        m, rng = 10 ** 12, random.Random(10 ** 12)
+        for _ in range(1000):
+            label = [rng.choice((m, 0)) + 2 * rng.randint(-100, 100)
+                     for _ in "123"]
+            label[rng.randrange(3)] = m + 2 * rng.randint(1, 100)
+            label = tuple(map(abs, label))
+            assert multiplicity_sym(m, label) == 0, label
 
     def test_negative_label_rejected(self):
         for m, label in ((4, (-2, 0, 0)), (4, (-2, -2, 0)), (8, (0, 0, -2)),

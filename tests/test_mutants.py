@@ -137,13 +137,13 @@ MUTANTS = [
            "label (999999999940, 999999999926, 999999999938)"),
     mutant("check_corner_sums", "multiplicity_sym-off-support",
            multiplicity, "multiplicity_sym", edited("return 0", "return 1"),
-           "multiplicity_sym 1 != 0 off the support at m = 0, "
-           "label (2, 0, 0)"),
+           "multiplicity_sym 1 != eight-corner sum 0 at m = 0, "
+           "label (0, 0, 1)"),
     mutant("check_corner_sums", "multiplicity_sym-no-parity", multiplicity,
            "multiplicity_sym",
-           edited("v > m or (v - m) % 2 != 0", "v > m"),
-           "multiplicity_sym 1 != 0 off the support at m = 1, "
-           "label (1, 1, 0)"),
+           edited("any((v - m) % 2 for v in label)", "False"),
+           "multiplicity_sym 1 != eight-corner sum 0 at m = 0, "
+           "label (0, 0, 1)"),
     mutant("check_characters", "weight_dimensions-value-9", dims,
            "weight_dimensions", at_power(9, bump(12, 4)),
            ENUMERATION.format(9)),
