@@ -9,7 +9,7 @@ import gc
 import io
 import os
 import sys
-from itertools import groupby
+from itertools import compress, groupby
 from math import comb
 from types import SimpleNamespace
 
@@ -37,60 +37,57 @@ def _nonneg(text: str) -> int:
 
 
 class _Table:
-    # One table on stdout, the only code that spells what tables share: the
-    # head (csv header; json opening, with "m" unless m is None), the ", "
+    # One table on stdout, the only code that spells one: the head (csv
+    # header; json opening, with "m" unless m is None), each entry, the ", "
     # between json entries and the tail (json total; text total_dim line,
-    # which a character has not); json is byte for byte json.dumps.  Text
-    # is joined and written once io.DEFAULT_BUFFER_SIZE characters wait, and
-    # at close: unbuffered (PYTHONUNBUFFERED), each write is a system call.
+    # which a character has not); json is byte for byte json.dumps.  An
+    # entry is a line head, which spells its first two components, and a
+    # cell, which spells the third (formatted in by cell % t3) and the
+    # value.  Text is joined and written once io.DEFAULT_BUFFER_SIZE
+    # characters wait, and at close: unbuffered (PYTHONUNBUFFERED), each
+    # write is a system call.
     def __init__(self, fmt: str, m: int | None, character: bool = False):
-        self.sep = "," if fmt == "csv" else " "  # within a text or csv entry
-        self.between = ", " if fmt == "json" else ""
+        key, value, col = (("weight", "dim", "l") if character
+                           else ("label", "mult", "n"))
         if fmt == "json":
-            key = "total" if character else "total_dim"
             head = ('{"entries": [' if m is None
                     else f'{{"m": {m}, "entries": [')
-            self.tail = f'], "{key}": %d}}\n'
-        elif fmt == "csv":
-            head = "l1,l2,l3,dim\n" if character else "n1,n2,n3,mult\n"
-            self.tail = ""
+            self.line, self.cell, self.between = (
+                f'{{"{key}": [%d, %d', f', %d], "{value}": %%d}}', ", ")
+            self.tail = f'], "{"total" if character else "total_dim"}": %d}}\n'
         else:
-            head, self.tail = "", "" if character else "total_dim = %d\n"
+            sep = "," if fmt == "csv" else " "
+            self.line, self.cell, self.between = (
+                f"%d{sep}%d", f"{sep}%d{sep}%%d\n", "")
+            head = f"{col}1,{col}2,{col}3,{value}\n" * (fmt == "csv")
+            self.tail = "" if character or fmt == "csv" else "total_dim = %d\n"
         self.pending, self.size, self.lead = [head], len(head), ""
 
-    def write(self, entries: str) -> None:
-        # whole entries joined by self.between; "" writes nothing
-        if entries:
-            self.pending.append(text := self.lead + entries)
+    def write(self, t1: int, t2: int, body: str) -> None:
+        # body: cells joined by NULs, each of which takes the line head of
+        # (t1, t2); "" writes nothing
+        if body:
+            line = self.line % (t1, t2)
+            self.pending.append(text := self.lead + line + body.replace(
+                "\0", self.between + line))
             self.size += len(text)
             self.lead = self.between
             if self.size >= io.DEFAULT_BUFFER_SIZE:
                 sys.stdout.write("".join(self.pending))
                 self.pending, self.size = [], 0
 
+    def counts(self, n1: int, n2: int, n3s: list[int], xs: list[int]) -> int:
+        # one count row of a decomposition, its labels (n1, n2, n3) of
+        # multiplicities xs != 0; returns their dimension
+        self.write(n1, n2, "\0".join([self.cell % n3 for n3 in n3s])
+                   % tuple(xs))
+        return (n1 + 1) * (n2 + 1) * sum([(n3 + 1) * x
+                                          for n3, x in zip(n3s, xs)])
+
     def close(self, total: int) -> None:
         if self.tail:
             self.pending.append(self.tail % total)
         sys.stdout.write("".join(self.pending))
-
-
-def _render_decomposition(groups, fmt: str, m: int | None = None) -> int:
-    # One join per group of (label, mult) rows, which every source gives in
-    # descending lexicographic order; returns the total, summed from the rows
-    table, total = _Table(fmt, m), 0
-    sep = table.sep
-    for rows in groups:
-        total += sum([x * (n1 + 1) * (n2 + 1) * (n3 + 1)
-                      for (n1, n2, n3), x in rows])
-        if fmt == "json":
-            entries = [f'{{"label": [{n1}, {n2}, {n3}], "mult": {x}}}'
-                       for (n1, n2, n3), x in rows]
-        else:
-            entries = [f"{n1}{sep}{n2}{sep}{n3}{sep}{x}\n"
-                       for (n1, n2, n3), x in rows]
-        table.write(table.between.join(entries))
-    table.close(total)
-    return total
 
 
 def _print_scalar(args, key, triple, columns, field, value) -> None:
@@ -134,34 +131,31 @@ def _check_total(name: str, total: int, m: int) -> int:
 def _cmd_decompose(args) -> int:
     from . import multiplicity
 
-    m = args.m
-    total = _render_decomposition(multiplicity.decomposition_rows(m),
-                                  args.format, m=m)
+    # each count row's cells are formatted from its own non-zero entries,
+    # not taken from all m/2 + 1 cells, 500,001 strings held at m = 10^6
+    m, total = args.m, 0
+    table, values = _Table(args.format, m), range(m, -1, -2)
+    for n1, n2, row in multiplicity.decomposition_rows(m):
+        total += table.counts(n1, n2, list(compress(values, row)),
+                              list(filter(None, row)))
+    table.close(total)
     return _check_total("decomposition total_dim", total, m)
 
 
 def _cmd_character(args) -> int:
     from . import multiplicity
 
-    # (l1, l2) and (l1, -l2) share one % of the template, whose NULs take
-    # each line's head; character_lines refuses m above its cap at once
+    # (l1, l2) and (l1, -l2) share one body, formatted and summed at l2 >= 0;
+    # character_lines refuses m above its cap at once, before the cells
     m, lines = args.m, multiplicity.character_lines(args.m)
     table = _Table(args.format, m, character=True)
-    sep, between = table.sep, table.between
-    if args.format == "json":
-        cells = [f', {l3}], "dim": %d}}' for l3 in range(m, -m - 1, -2)]
-        head = '{"weight": [%d, %d'
-    else:
-        cells = [f"{sep}{l3}{sep}%d\n" for l3 in range(m, -m - 1, -2)]
-        head = f"%d{sep}%d"
-    template, bodies, total = "\0".join(cells), {}, 0
+    template = "\0".join([table.cell % l3 for l3 in range(m, -m - 1, -2)])
+    bodies, total = {}, 0
     for l1, l2, row in lines:
-        total += sum(row)
         if l2 >= 0:
+            total += sum(row) * (2 if l2 else 1)
             bodies[l2] = template % tuple(row)
-        line_head = head % (l1, l2)
-        table.write(line_head
-                    + bodies[abs(l2)].replace("\0", between + line_head))
+        table.write(l1, l2, bodies[abs(l2)])
     table.close(total)
     return _check_total("character total", total, m)
 
@@ -182,10 +176,13 @@ def _cmd_greedy(args) -> int:
             read += entry[2]
             yield entry
 
-    # one group per count row (n1, n2), as decompose writes them
-    rows = groupby(characters.decompose_entries(summed()).items(),
-                   lambda e: e[0][:2])
-    total = _render_decomposition((list(g) for _, g in rows), args.format)
+    # one line per count row (n1, n2), as decompose writes them
+    table, total = _Table(args.format, None), 0
+    for (n1, n2), group in groupby(characters.decompose_entries(
+            summed()).items(), lambda e: e[0][:2]):
+        labels, xs = zip(*group)
+        total += table.counts(n1, n2, [t[2] for t in labels], list(xs))
+    table.close(total)
     if total != read:
         raise core.VerificationError(
             f"greedy total_dim {total} != {read}, the sum of the file's "

@@ -48,29 +48,26 @@ def multiplicity_sym(m: int, label: IrrepLabel) -> int:
     return max(0, (min(label) - h) // 2 + 1 - max(0, (1 - h) // 2))
 
 
-def decomposition_rows(m: int) -> Iterator[list[tuple[IrrepLabel, int]]]:
-    """The decomposition of the m-th symmetric power, one count row at a
-    time.
-
-    Labels have components in {m mod 2, m mod 2 + 2, ..., m} (weights of
-    the power lie in [-m, m]^3, so nothing outside can occur).  Yields,
-    for n1 = m, m - 2, ... and within it n2 = m, m - 2, ..., one list of
-    the (label, mult) rows with first components (n1, n2) and mult != 0
-    in descending lexicographic order: the non-zero counts of a row of
-    _count_plane, whose co-indices 0, 1, ... are n = m, m - 2, ...  Holds
-    one count row, O(m) ints.  Raises ValueError on a malformed power.
-    """
+def decomposition_rows(m: int) -> Iterator[tuple[int, int, list[int]]]:
+    """The decomposition of the m-th symmetric power as lines (n1, n2, row)
+    in the shape of character_lines: for n1 = m, m - 2, ... and within it
+    n2 = m, m - 2, ..., row[i] is the multiplicity of (n1, n2, m - 2i),
+    zeros kept, a row of _count_plane (labels have components in
+    {m mod 2, ..., m - 2, m}: weights of the power lie in [-m, m]^3).
+    Holds one count row, O(m) ints.  Raises ValueError on a malformed
+    power."""
     check_power(m)
     values = range(m, -1, -2)
     for a, n1 in enumerate(values):
         for n2, row in zip(values, _count_plane(m, a)):
-            yield [((n1, n2, n3), x) for n3, x in zip(values, row) if x]
+            yield n1, n2, row
 
 
 def decompose_symmetric_power(m: int) -> Decomposition:
-    """Complete decomposition of the m-th symmetric power: every row of
-    decomposition_rows(m), in its order, held in one dict."""
-    return {label: x for rows in decomposition_rows(m) for label, x in rows}
+    """Complete decomposition of the m-th symmetric power: the non-zero
+    entries of decomposition_rows(m), in its order, held in one dict."""
+    return {(n1, n2, m - 2 * i): x for n1, n2, row in decomposition_rows(m)
+            for i, x in enumerate(row) if x}
 
 
 def _count_plane(m: int, a: int) -> Iterator[list[int]]:

@@ -141,7 +141,9 @@ def check_characters(top_m: int) -> int:
 
     for m in range(top_m + 1):
         greedy = characters.decompose_entries(entries(m))
-        rows = chain.from_iterable(multiplicity.decomposition_rows(m))
+        rows = (((n1, n2, m - 2 * i), x)
+                for n1, n2, row in multiplicity.decomposition_rows(m)
+                for i, x in enumerate(row) if x)
         if any(starmap(ne, zip_longest(greedy.items(), rows))):
             raise VerificationError(
                 f"greedy (eight-corner sums of the closed-form character) vs "

@@ -189,18 +189,17 @@ class TestDecomposeSymmetricPower:
 class TestDecompositionPlanes:
     @pytest.mark.parametrize("m", range(31))
     def test_dict_is_the_planes_in_order(self, m):
-        # one list per count row (n1, n2), n1 then n2 descending, each in
-        # descending order of n3
+        # one count row (n1, n2, row) per n1 then n2 descending, row[i] the
+        # multiplicity of (n1, n2, m - 2i), zeros kept
         rows = list(decomposition_rows(m))
         assert len(rows) == (m // 2 + 1) ** 2
-        assert list(decompose_symmetric_power(m).items()) == [
-            entry for row in rows for entry in row]
         values = range(m, -1, -2)
-        heads = [(n1, n2) for n1 in values for n2 in values]
-        for head, row in zip(heads, rows):
-            assert all(label[:2] == head for label, _ in row), head
-            labels = [label for label, _ in row]
-            assert labels == sorted(labels, reverse=True), head
+        assert [(n1, n2) for n1, n2, _ in rows] == [
+            (n1, n2) for n1 in values for n2 in values]
+        assert all(len(row) == len(values) for _, _, row in rows)
+        assert list(decompose_symmetric_power(m).items()) == [
+            ((n1, n2, n3), x) for n1, n2, row in rows
+            for n3, x in zip(values, row) if x]
 
 
 class TestCheckGreedy:
@@ -210,14 +209,14 @@ class TestCheckGreedy:
         assert check_characters(30) == 31
 
     def test_detects_one_wrong_multiplicity_at_m_7(self, monkeypatch):
+        # row[3] of count row (3, 3) at m = 7: the label (3, 3, 1)
         real_rows = multiplicity.decomposition_rows
 
         def off_by_one(m):
-            for row in real_rows(m):
-                if m == 7:
-                    row = [(label, x + (label == (3, 3, 1)))
-                           for label, x in row]
-                yield row
+            for n1, n2, row in real_rows(m):
+                if (m, n1, n2) == (7, 3, 3):
+                    row = row[:3] + [row[3] + 1] + row[4:]
+                yield n1, n2, row
 
         monkeypatch.setattr(multiplicity, "decomposition_rows", off_by_one)
         with pytest.raises(VerificationError, match=r"at m = 7$"):
@@ -225,12 +224,14 @@ class TestCheckGreedy:
 
     def test_names_planes_with_their_rows_reversed(self, monkeypatch):
         # the rows `symcube decompose` prints, compared in order: the same
-        # labels and multiplicities in another order are named, here first
-        # at m = 3, whose count row (1, 1) is the first to hold two labels
+        # count rows in another order, each plane's in ascending n2, are
+        # named, here first at m = 2, whose plane n1 = 2 is the first to
+        # hold two rows
         real_rows = multiplicity.decomposition_rows
         monkeypatch.setattr(multiplicity, "decomposition_rows",
-                            lambda m: (row[::-1] for row in real_rows(m)))
-        with pytest.raises(VerificationError, match=r"at m = 3$"):
+                            lambda m: sorted(real_rows(m), key=lambda line: (
+                                -line[0], line[1])))
+        with pytest.raises(VerificationError, match=r"at m = 2$"):
             check_characters(10)
 
     def test_reads_only_the_streamed_routes(self, monkeypatch):

@@ -33,7 +33,8 @@ def at_power(power, change):
 
 
 def bump(index, n):
-    """Add one to the n-th dimension of the line at index."""
+    """Add one to the n-th value of the line (l1, l2, row) or count row
+    (n1, n2, row) at index."""
     def change(lines):
         l1, l2, row = lines[index]
         lines[index] = (l1, l2, row[:n] + [row[n] + 1] + row[n + 1:])
@@ -163,13 +164,12 @@ MUTANTS = [
     mutant("check_characters", "_count_plane-7-1", multiplicity,
            "_count_plane", count_plane_bumped, COUNT.format(7)),
     mutant("check_characters", "decomposition_rows-reversed", multiplicity,
-           "decomposition_rows",
-           lambda real: lambda m: (row[::-1] for row in real(m)),
-           GREEDY.format(3)),
+           "decomposition_rows",  # each plane's count rows, n2 ascending
+           lambda real: lambda m: sorted(real(m), key=lambda line: (
+               -line[0], line[1])),
+           GREEDY.format(2)),
     mutant("check_characters", "decomposition_rows-3-3-1-at-7", multiplicity,
-           "decomposition_rows", at_power(7, lambda rows: [
-               [(label, x + (label == (3, 3, 1))) for label, x in row]
-               for row in rows]),
+           "decomposition_rows", at_power(7, bump(10, 3)),  # row (3, 3)
            GREEDY.format(7)),
     mutant("check_characters", "decompose_entries-top-label", characters,
            "decompose_entries", top_label_bumped, GREEDY.format(0)),
