@@ -195,8 +195,8 @@ def _cmd_verify(args) -> int:
 
     top = oracle.MODES[args.mode] if args.max_m is None else args.max_m
     core.check_cap(top, oracle.ENUMERATION_CAP, "oracle")
-    for check, bound, template in verify.CHECKS:
-        print(template.format(depth := bound(top), check(depth)))
+    for line in verify.report(top):
+        print(line)
     print("all checks passed")
     return 0
 

@@ -2,12 +2,16 @@
 check per quantity; those of the weight dimensions and the character
 enumerate only up to oracle.ENUMERATION_CAP.  Each check returns its case
 count and raises VerificationError at the first disagreement; a function
-replaced on its module is the one checked.  ``symcube verify`` runs
-CHECKS: (check, bound of the top power, report), with the top power that
-oracle.MODES gives its --mode unless --max-m is given.
+replaced on its module is the one checked.  ``symcube verify`` prints the
+lines of report(top), which runs CHECKS, (check, bound of the top power,
+report), at the top power that oracle.MODES gives its --mode unless
+--max-m is given.
 """
 
+import marshal
+import os
 import random
+from collections.abc import Iterator
 from itertools import chain, product, starmap, zip_longest
 from operator import ne
 
@@ -169,3 +173,73 @@ CHECKS = (
      "count prefix sums == closed forms, greedy == covariant count for "
      "m <= {0}"),
 )
+
+
+def _outcome(check, bound, top: int) -> bytes:
+    """The outcome of the entry (check, bound) of CHECKS at top: b"0" and
+    the marshalled (depth, case count), or b"1" and the exception it
+    raised, pickled."""
+    try:
+        depth = bound(top)
+        return b"0" + marshal.dumps((depth, check(depth)))
+    except Exception as exc:
+        import pickle
+
+        return b"1" + pickle.dumps(exc)
+
+
+def _fork(check, bound, top: int) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a child that writes there the outcome
+    of the entry (check, bound) at top."""
+    read, write = os.pipe()
+    if pid := os.fork():
+        os.close(write)
+        return pid, read
+    # the child leaves only by os._exit, whatever it raised, so it flushes
+    # no stdout buffer and runs no atexit handler of its parent's
+    try:
+        data = _outcome(check, bound, top)
+        while data:
+            data = data[os.write(write, data):]
+    finally:
+        os._exit(0)
+
+
+def report(top: int) -> Iterator[str]:
+    """The report line of each entry of CHECKS at top, in order; then the
+    exception of the first entry that raised one, raised.  Where os.fork
+    exists the entries run at once, one forked child each, and the lines
+    come once the last outcome is read, or the first exception: the
+    children after it are killed, and every child is reaped before the
+    first line.  Elsewhere the entries run in order in process."""
+    forked, children, lines = hasattr(os, "fork"), [], []
+    try:
+        if forked:
+            for check, bound, _ in CHECKS:
+                children.append(_fork(check, bound, top))
+        for i, (check, bound, template) in enumerate(CHECKS):
+            if forked:
+                data = b""
+                while chunk := os.read(children[i][1], 1 << 16):
+                    data += chunk
+            else:
+                data = _outcome(check, bound, top)
+            if data[:1] != b"0":
+                break
+            lines.append(template.format(*marshal.loads(data[1:])))
+    finally:
+        if unread := children[len(lines):]:
+            from signal import SIGKILL
+
+            for pid, _ in unread:
+                os.kill(pid, SIGKILL)
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    yield from lines
+    if len(lines) < len(CHECKS):
+        if data[:1] != b"1":  # a child that wrote nothing, killed, say
+            raise ChildProcessError(f"{check.__name__} ended with no outcome")
+        import pickle
+
+        raise pickle.loads(data[1:])

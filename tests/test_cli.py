@@ -6,8 +6,10 @@ import json
 import os
 import random
 import resource
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from math import comb
@@ -850,12 +852,14 @@ class TestVerify:
             f"covariant count for m <= {top}\n"
             "all checks passed\n"), "")
 
-    def test_runs_and_reports_the_table_in_order(self, monkeypatch):
+    def test_runs_and_reports_the_table_in_order(self, monkeypatch, tmp_path):
+        # an entry runs in a forked child, so it records its calls in a file
         checks = run(["verify", "--max-m", "3"])[1].splitlines()[:-1]
-        real, calls = verify.CHECKS, []
+        real, calls = verify.CHECKS, tmp_path / "calls"
 
         def record(top):
-            calls.append(top)
+            with calls.open("a") as fh:
+                fh.write(f"{top}\n")
             return 7
 
         def fail(top):
@@ -865,14 +869,59 @@ class TestVerify:
             *real, (record, lambda top: top - 1, "extra {0} {1}")))
         assert run(["verify", "--max-m", "3"]) == (
             0, "\n".join([*checks, "extra 2 7", "all checks passed\n"]), "")
-        assert calls == [2]
-        # a failing entry stops the run after the lines before it
+        assert calls.read_text() == "2\n"
+        # a failing entry ends the report after the lines before it
         monkeypatch.setattr(verify, "CHECKS", (
             *real, (fail, lambda top: top, "extra {0} {1}"),
             (record, lambda top: top, "after {0} {1}")))
         assert run(["verify", "--max-m", "3"]) == (
             3, "\n".join([*checks, ""]), "mismatch: extra entry\n")
-        assert calls == [2]
+
+    @pytest.mark.parametrize("first,code,err", [
+        ("fail", 3, "mismatch: at once\n"),
+        ("pass", 0, ""),
+        ("value", 2, "error: at once\n"),
+        ("killed", 2, "error: check ended with no outcome\n"),
+    ])
+    def test_leaves_no_child_and_ends_at_the_first_failure(
+            self, monkeypatch, first, code, err):
+        # the first entry fails at once, passes, raises a ValueError or
+        # kills its child; a later entry that sleeps 30 s is killed as
+        # soon as an earlier one has failed
+        def check(top):
+            if first == "fail":
+                raise verify.VerificationError("at once")
+            if first == "value":
+                raise ValueError("at once")
+            if first == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return 1
+
+        entries = [(check, lambda top: top, "first {0} {1}")]
+        if first != "pass":
+            entries.append((lambda top: time.sleep(30), lambda top: top,
+                            "sleeper {0} {1}"))
+        monkeypatch.setattr(verify, "CHECKS", tuple(entries))
+        start = time.monotonic()
+        assert run(["verify", "--max-m", "3"]) == (
+            code, "first 3 1\nall checks passed\n" * (code == 0), err)
+        assert time.monotonic() - start < 5
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("mutant", [False, True])
+    def test_runs_in_process_without_fork(self, monkeypatch, mutant):
+        # where os.fork does not exist the entries run in order in process:
+        # the same report, or the same lines before the same mismatch
+        if mutant:
+            wall = dims._wall
+            monkeypatch.setattr(dims, "_wall", lambda t: wall(t) + 1)
+        forked = run(["verify", "--max-m", "3"])
+        assert (forked[0], len(forked[1].splitlines()), forked[2]) == (
+            (3, 1, "mismatch: 48 does not divide _wall(0,)\n") if mutant
+            else (0, 5, ""))
+        monkeypatch.delattr(os, "fork")
+        assert run(["verify", "--max-m", "3"]) == forked
 
     def test_max_m_help_names_both_checks(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")

@@ -1,18 +1,21 @@
 """A standing catalogue of mutants of the routes that `symcube verify`
 checks.  Each mutant replaces one module attribute, as a wrong edit to
 that one function would (a wrapper of the real function, or its source
-with that one edit), and each case runs verify.CHECKS at ci depth
-and asserts which check names the mutant first and with what message.
-verify looks each route up on its module when it runs, so the replaced
-attribute is the route its checks read.  The test id starts with the
-check that names the mutant.
+with that one edit), and each case runs verify.CHECKS at ci depth, in
+order in process and through ``symcube verify``, which runs them at
+once, and asserts which check names the mutant first and with what
+message.  verify looks each route up on its module when it runs, so the
+replaced attribute is the route its checks read.  The test id starts
+with the check that names the mutant.
 """
 
+import contextlib
 import inspect
+import io
 
 import pytest
 
-from symcube import characters, dims, multiplicity, oracle, verify
+from symcube import characters, cli, dims, multiplicity, oracle, verify
 from symcube.verify import VerificationError
 
 GREEDY = ("greedy (eight-corner sums of the closed-form character) vs "
@@ -192,8 +195,29 @@ def first_failure():
     return None
 
 
+def verify_command():
+    """(exit code, stdout, stderr) of `symcube verify`, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def report_lines():
+    """The report lines of a passing `symcube verify`, one per entry."""
+    code, out, err = verify_command()
+    assert (code, err) == (0, "")
+    return out.splitlines()[:-1]
+
+
 @pytest.mark.parametrize("module,name,make,check,message", MUTANTS)
-def test_verify_names_the_mutant(monkeypatch, module, name, make, check,
-                                 message):
+def test_verify_names_the_mutant(monkeypatch, report_lines, module, name,
+                                 make, check, message):
     monkeypatch.setattr(module, name, make(getattr(module, name)))
     assert first_failure() == (check, message)
+    # the command prints the lines of the entries before the named check
+    before = [entry[0].__name__ for entry in verify.CHECKS].index(check)
+    assert verify_command() == (
+        3, "".join(f"{line}\n" for line in report_lines[:before]),
+        f"mismatch: {message}\n")
